@@ -18,7 +18,7 @@ import numpy as np
 
 from featforge.agents import AgentConfig
 from featforge.data_core import DataError, Task, load_csv, make_split
-from featforge.evaluator import ModelSpec, evaluate_predictions, knn_anomaly_scores, train_random_forest
+from featforge.evaluator import ModelSpec, evaluate_predictions, predict_test_side
 from featforge.generation import GenerationConfig
 from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr
@@ -239,19 +239,8 @@ def _cmd_evaluate(args, file_cfg):
     dataset = _load(args)
     seed = _resolve_seed(args, file_cfg)
     split = make_split(dataset, 0.2, seed)
-    spec = ModelSpec(seed=seed)
-    tr, te = split.train_indices, split.test_indices
-    if dataset.task is Task.CLASSIFICATION:
-        model = train_random_forest(dataset.samples[tr], dataset.target[tr], spec, True)
-        result = evaluate_predictions(model.predict(dataset.samples[te]), dataset.target[te], dataset.task)
-    elif dataset.task is Task.REGRESSION:
-        model = train_random_forest(dataset.samples[tr], dataset.target[tr], spec, False)
-        result = evaluate_predictions(model.predict(dataset.samples[te]), dataset.target[te], dataset.task)
-    else:
-        scores = knn_anomaly_scores(
-            dataset.samples[tr], dataset.samples[te], k=min(spec.knn_k, len(tr) - 1)
-        )
-        result = evaluate_predictions(scores, dataset.target[te], dataset.task)
+    pred = predict_test_side(dataset.samples, dataset.target, dataset.task, ModelSpec(seed=seed), split)
+    result = evaluate_predictions(pred, dataset.target[split.test_indices], dataset.task)
     print(json.dumps({"primary_metric": result.primary_metric, "auxiliary": result.auxiliary}, indent=2))
     return 0
 

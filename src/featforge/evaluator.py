@@ -51,54 +51,49 @@ class _TreeNode:
         self.value = value
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _best_split(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: int, min_leaf: int):
+    """Best (column, threshold) over the columns of X; None if no valid split.
 
-
-def _best_split(x: np.ndarray, y: np.ndarray, classification: bool, n_classes: int, min_leaf: int):
-    """Best (threshold, weighted impurity) for one feature; None if no valid split."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
+    All columns are searched in one pass, with the per-cut score formulas of a
+    one-column search. The lowest score wins; ties go to the leftmost cut, then
+    to the earliest column, as a column-by-column loop with a strict `<` picks.
+    """
+    xt = X.T  # (k, m): one row per candidate column
+    k, m = xt.shape
+    order = np.argsort(xt, axis=1, kind="stable")
+    xs = xt[np.arange(k)[:, None], order]
     ys = y[order]
-    m = len(xs)
-    # split positions: after index i (left gets i+1 rows), only where value changes
-    cut = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left sizes
-    cut = cut[(cut >= min_leaf) & (m - cut >= min_leaf)]
-    if cut.size == 0:
-        return None
+    # a cut after left size p, for p in [lo, hi], leaves min_leaf rows per side
+    lo, hi = min_leaf, m - min_leaf
+    nl = np.arange(lo, hi + 1, dtype=float)
+    nr = m - nl
     if classification:
-        onehot = np.zeros((m, n_classes))
-        onehot[np.arange(m), ys.astype(int)] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left = prefix[cut - 1]
-        right = prefix[-1] - left
-        nl = cut.astype(float)
-        nr = m - nl
+        prefix = np.cumsum(ys[:, :, None] == np.arange(n_classes), axis=1)
+        left = prefix[:, lo - 1 : hi]
+        right = prefix[:, -1:] - left
         pl = left / nl[:, None]
         pr = right / nr[:, None]
-        gini_l = 1.0 - np.sum(pl * pl, axis=1)
-        gini_r = 1.0 - np.sum(pr * pr, axis=1)
+        gini_l = 1.0 - np.sum(pl * pl, axis=2)
+        gini_r = 1.0 - np.sum(pr * pr, axis=2)
         score = (nl * gini_l + nr * gini_r) / m
     else:
-        s = np.cumsum(ys)
-        s2 = np.cumsum(ys * ys)
-        nl = cut.astype(float)
-        nr = m - nl
-        sl = s[cut - 1]
-        sr = s[-1] - sl
-        s2l = s2[cut - 1]
-        s2r = s2[-1] - s2l
+        s = np.cumsum(ys, axis=1)
+        s2 = np.cumsum(ys * ys, axis=1)
+        sl = s[:, lo - 1 : hi]
+        sr = s[:, -1:] - sl
+        s2l = s2[:, lo - 1 : hi]
+        s2r = s2[:, -1:] - s2l
         var_l = s2l / nl - (sl / nl) ** 2
         var_r = s2r / nr - (sr / nr) ** 2
         score = (nl * var_l + nr * var_r) / m
-    best = int(np.argmin(score))
-    pos = cut[best]
-    threshold = 0.5 * (xs[pos - 1] + xs[pos])
-    return threshold, float(score[best])
+    # only cuts between two different values are valid
+    valid = xs[:, lo - 1 : hi] < xs[:, lo : hi + 1]
+    np.putmask(score, ~valid, np.inf)
+    col, i = divmod(int(np.argmin(score)), score.shape[1])
+    if not valid[col, i]:
+        return None
+    pos = lo + i
+    return col, 0.5 * (xs[col, pos - 1] + xs[col, pos])
 
 
 def _build_tree(
@@ -117,22 +112,16 @@ def _build_tree(
             return _TreeNode(value=int(np.argmax(counts)))
         return _TreeNode(value=float(y.mean()))
 
-    if depth >= max_depth or len(y) < 2 * min_leaf or len(np.unique(y)) == 1:
+    if depth >= max_depth or len(y) < 2 * min_leaf or y.min() == y.max():
         return leaf()
     n = X.shape[1]
     n_try = int(np.ceil(np.sqrt(n)))
     feats = np.sort(rng.choice(n, size=n_try, replace=False))
-    best = None
-    for f in feats:
-        res = _best_split(X[:, f], y, classification, n_classes, min_leaf)
-        if res is None:
-            continue
-        threshold, score = res
-        if best is None or score < best[2]:
-            best = (f, threshold, score)
+    best = _best_split(X[:, feats], y, classification, n_classes, min_leaf)
     if best is None:
         return leaf()
-    f, threshold, _ = best
+    col, threshold = best
+    f = feats[col]
     mask = X[:, f] <= threshold
     # midpoints of near-identical values can round onto one of them
     if not mask.any() or mask.all():
@@ -190,14 +179,14 @@ class RandomForest:
         return self
 
     def predict(self, X) -> np.ndarray:
+        if not self.trees:
+            raise ValueError("fit before predict")
         X = np.asarray(X, dtype=float)
         preds = np.stack([_predict_tree(t, X) for t in self.trees])
         if self.classification:
-            out = np.empty(X.shape[0])
-            for i in range(X.shape[0]):
-                counts = np.bincount(preds[:, i].astype(int), minlength=self.n_classes)
-                out[i] = int(np.argmax(counts))
-            return out
+            # majority vote; argmax takes the first, so ties go to the lowest class
+            votes = (preds == np.arange(self.n_classes)[:, None, None]).sum(axis=1)
+            return np.argmax(votes, axis=0).astype(float)
         return preds.mean(axis=0)
 
 
@@ -364,6 +353,24 @@ def evaluate_predictions(pred_or_scores, truth, task: Task) -> EvalResult:
     return EvalResult(primary_metric=auc, auxiliary={"roc_auc": auc})
 
 
+def predict_test_side(features, target, task: Task, spec: ModelSpec, split: SplitPlan) -> np.ndarray:
+    """Fit the task model on the train side; its predictions for the test side.
+
+    Classification and regression return random-forest predictions, outlier
+    detection returns KNN anomaly scores.
+    """
+    features = np.asarray(features, dtype=float)
+    target = np.asarray(target, dtype=float)
+    tr = split.train_indices
+    te = split.test_indices
+    if len(tr) == 0 or len(te) == 0:
+        raise ValueError("degenerate split")
+    if task is Task.OUTLIER_DETECTION:
+        return knn_anomaly_scores(features[tr], features[te], k=min(spec.knn_k, len(tr) - 1))
+    model = train_random_forest(features[tr], target[tr], spec, classification=task is Task.CLASSIFICATION)
+    return model.predict(features[te])
+
+
 def downstream_performance(
     features, target, task: Task, spec: ModelSpec, split: SplitPlan
 ) -> float:
@@ -372,17 +379,7 @@ def downstream_performance(
     Regression clamps negative 1-RAE to 0 so the reward scale stays
     commensurate with utility deltas.
     """
-    features = np.asarray(features, dtype=float)
-    target = np.asarray(target, dtype=float)
-    tr = split.train_indices
-    te = split.test_indices
-    if len(tr) == 0 or len(te) == 0:
-        raise ValueError("degenerate split")
-    if task is Task.CLASSIFICATION:
-        model = train_random_forest(features[tr], target[tr], spec, classification=True)
-        return metric_f1(model.predict(features[te]), target[te])
-    if task is Task.REGRESSION:
-        model = train_random_forest(features[tr], target[tr], spec, classification=False)
-        return max(0.0, metric_1rae(model.predict(features[te]), target[te]))
-    scores = knn_anomaly_scores(features[tr], features[te], k=min(spec.knn_k, len(tr) - 1))
-    return metric_auc(scores, target[te])
+    pred = predict_test_side(features, target, task, spec, split)
+    truth = np.asarray(target, dtype=float)[split.test_indices]
+    score = evaluate_predictions(pred, truth, task).primary_metric
+    return max(0.0, score) if task is Task.REGRESSION else score

@@ -1,11 +1,16 @@
+import json
+
+import cart_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featforge.data_core import SplitPlan, Task
+from featforge import evaluator
+from featforge.data_core import Dataset, SplitPlan, Task
 from featforge.evaluator import (
     ModelSpec,
+    RandomForest,
     confusion_counts,
     downstream_performance,
     evaluate_predictions,
@@ -17,6 +22,7 @@ from featforge.evaluator import (
     ridge_fit_predict,
     train_random_forest,
 )
+from featforge.pipeline import PipelineConfig, run_grfg
 
 
 def separable_data(seed=0, m=20):
@@ -70,6 +76,81 @@ class TestRandomForest:
         y = 3.0 * X[:, 0]
         model = train_random_forest(X, y, ModelSpec(seed=0), classification=False)
         assert metric_1rae(model.predict(X), y) > 0.7
+
+    def test_predict_before_fit(self):
+        with pytest.raises(ValueError, match="fit before predict"):
+            RandomForest(ModelSpec(), classification=True).predict(np.zeros((3, 2)))
+
+    def test_vote_matches_bincount_first_max(self):
+        # forests of single-leaf trees fix each tree's vote, so ties are common
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n_trees = int(rng.integers(1, 7))
+            n_classes = int(rng.integers(2, 5))
+            votes = rng.integers(0, n_classes, size=n_trees)
+            forest = RandomForest(ModelSpec(n_trees=n_trees), classification=True)
+            forest.n_classes = n_classes
+            forest.trees = [evaluator._TreeNode(value=int(v)) for v in votes]
+            expected = float(np.argmax(np.bincount(votes, minlength=n_classes)))
+            assert np.array_equal(forest.predict(np.zeros((4, 2))), np.full(4, expected))
+
+
+def same_tree(a, b) -> bool:
+    """Node-for-node equality: split feature and threshold, leaf value and its type."""
+    if a.value is not None or b.value is not None:
+        return a.value == b.value and type(a.value) is type(b.value)
+    return (
+        a.feature == b.feature
+        and a.threshold == b.threshold
+        and same_tree(a.left, b.left)
+        and same_tree(a.right, b.right)
+    )
+
+
+class TestExactCart:
+    """The batched split search grows the trees of the per-column reference."""
+
+    def test_forests_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            m = int(rng.integers(5, 301))
+            n = int(rng.integers(1, 31))
+            # rounding forces tied values, so cut validity and tie-breaks matter
+            X = np.round(rng.normal(size=(m, n)), int(rng.integers(0, 3)))
+            X[:, rng.integers(n)] = 1.5
+            classification = trial % 2 == 1
+            if classification:
+                y = rng.integers(0, int(rng.integers(2, 11)), size=m).astype(float)
+            else:
+                y = np.round(rng.normal(size=m), 1)
+            spec = ModelSpec(n_trees=2, min_samples_leaf=int(rng.integers(1, 4)), seed=trial)
+            batched = train_random_forest(X, y, spec, classification)
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluator, "_build_tree", cart_reference._build_tree)
+                reference = train_random_forest(X, y, spec, classification)
+            assert len(batched.trees) == len(reference.trees)
+            for a, b in zip(batched.trees, reference.trees):
+                assert same_tree(a, b), f"trial {trial}"
+
+    def test_seeded_search_matches_reference(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 5))
+        y = X[:, 0] * X[:, 1] + 0.05 * rng.normal(size=200)
+        data = Dataset(
+            samples=X,
+            feature_names=("f1", "f2", "f3", "f4", "f5"),
+            target=y,
+            task=Task.REGRESSION,
+        )
+        cfg = PipelineConfig(epochs=1, steps_per_epoch=4, seed=0)
+        report, best = run_grfg(data, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_build_tree", cart_reference._build_tree)
+            ref_report, ref_best = run_grfg(data, cfg)
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            ref_report.to_dict(), sort_keys=True
+        )
+        assert np.array_equal(best.table.values, ref_best.table.values)
 
 
 class TestRidge:

@@ -6,7 +6,8 @@ import pytest
 
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
-from featforge.data_core import Dataset, Task, save_csv
+from featforge.data_core import Dataset, Task, load_csv, make_split, save_csv
+from featforge.evaluator import ModelSpec, downstream_performance
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import (
     BestFeatureSet,
@@ -219,6 +220,16 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["primary_metric"] <= 1.0
+
+    def test_evaluate_matches_downstream_performance(self, tmp_path, capsys):
+        path, _ = write_dataset_csv(tmp_path, task=Task.CLASSIFICATION, seed=4)
+        code = cli_main(["evaluate", "--data", path, "--target", "y", "--task", "cls", "--seed", "3"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        d = load_csv(path, "y", Task.CLASSIFICATION)
+        split = make_split(d, 0.2, 3)
+        expected = downstream_performance(d.samples, d.target, d.task, ModelSpec(seed=3), split)
+        assert payload["primary_metric"] == expected
 
     def test_trace_verify(self, tmp_path, capsys):
         path, _ = write_dataset_csv(tmp_path)
