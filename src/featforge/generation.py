@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from featforge.grouping import FeatureGroup, group_relevance
-from featforge.measures import BinningSpec, DEFAULT_BINS, cosine_similarity, mutual_information
+from featforge.measures import BinningSpec, DEFAULT_BINS, MIEngine, cosine_similarity, named_columns
 from featforge.operators import (
     FeatureExpr,
     OperationKind,
@@ -137,6 +137,7 @@ def generate_unary(
     cfg: GenerationConfig = GenerationConfig(),
     spec: BinningSpec = DEFAULT_BINS,
     rng: np.random.Generator | None = None,
+    mi: MIEngine | None = None,
 ) -> list[tuple[FeatureExpr, np.ndarray]]:
     """Apply a unary op to every feature of the more target-relevant group."""
     if not op.is_unary:
@@ -146,8 +147,8 @@ def generate_unary(
             rng = np.random.default_rng(0)
         group = c1 if rng.integers(2) == 0 else c2
     else:
-        rel1 = group_relevance(c1, current.values, target, spec)
-        rel2 = group_relevance(c2, current.values, target, spec)
+        rel1 = group_relevance(c1, current, target, spec, mi=mi)
+        rel2 = group_relevance(c2, current, target, spec, mi=mi)
         group = c1 if rel1 >= rel2 else c2
     out = []
     for i in group.indices:
@@ -191,7 +192,11 @@ def postprocess(
 
 
 def kbest_select(
-    features: FeatureTable, target, k: int, spec: BinningSpec = DEFAULT_BINS
+    features: FeatureTable,
+    target,
+    k: int,
+    spec: BinningSpec = DEFAULT_BINS,
+    mi: MIEngine | None = None,
 ) -> FeatureTable:
     """Keep the k columns with highest MI(f, y); ties keep the lower index."""
     if k < 1:
@@ -199,9 +204,8 @@ def kbest_select(
     n = features.n_features
     if k >= n:
         return features
-    scores = np.array(
-        [mutual_information(features.column(i), target, spec) for i in range(n)]
-    )
+    mi, names, values = named_columns(features, target, spec, mi)
+    scores = mi.target_mi(names, values)
     # stable selection: sort by (-score, index)
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     keep = sorted(order[:k])
@@ -218,11 +222,12 @@ def size_control(
     target,
     cfg: GenerationConfig = GenerationConfig(),
     spec: BinningSpec = DEFAULT_BINS,
+    mi: MIEngine | None = None,
 ) -> FeatureTable:
     """Cap the table at floor(tolerance_factor * original_count) columns."""
     if original_count < 1:
         raise ValueError("original_count must be >= 1")
     cap = int(np.floor(cfg.size_tolerance_factor * original_count))
     if features.n_features > cap:
-        return kbest_select(features, target, cap, spec)
+        return kbest_select(features, target, cap, spec, mi=mi)
     return features

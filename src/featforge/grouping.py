@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from featforge.measures import BinningSpec, DEFAULT_BINS, mi_matrix, mutual_information
+from featforge.measures import (
+    BinningSpec,
+    DEFAULT_BINS,
+    MIEngine,
+    mutual_information,
+    named_columns,
+)
 
 DEFAULT_EPSILON = 1e-6
 
@@ -94,6 +100,7 @@ def m_cluster(
     epsilon: float = DEFAULT_EPSILON,
     spec: BinningSpec = DEFAULT_BINS,
     metric: str = "relevance_redundancy",
+    mi: MIEngine | None = None,
 ) -> GroupPartition:
     """Agglomerative grouping under the group distance.
 
@@ -101,71 +108,74 @@ def m_cluster(
     when 2 groups remain.  ``stop_threshold="auto"`` uses the mean of the
     initial pairwise singleton distances.  Ties break toward the pair with the
     lexicographically smallest member indices, so results are deterministic.
+    ``features`` is an m x n array or a FeatureTable; ``mi`` is the run's engine.
+
+    Each merge recomputes only the merged group's distances.  ``dist[a, b]``
+    holds the distance between the groups whose smallest members are a < b and
+    +inf elsewhere, so the first row-major minimum is the tie-break's pair.
     """
-    features = np.asarray(features, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if features.ndim != 2 or features.shape[1] == 0:
-        raise ValueError("need at least one feature column")
-    n = features.shape[1]
+    mi, names, values = named_columns(features, target, spec, mi)
+    n = values.shape[1]
     if n == 1:
         return GroupPartition(
             groups=(FeatureGroup((0,)),), threshold_used=0.0, epsilon=epsilon
         )
 
+    upper = np.triu_indices(n, 1)
+    dist = np.full((n, n), np.inf)
     if metric == "relevance_redundancy":
-        pair_mi, target_mi = mi_matrix(features, target, spec)
+        pair_mi, target_mi = mi.pair_mi(names, values), mi.target_mi(names, values)
 
-        def dist(g1, g2):
+        def group_dist(g1, g2):
             return _distance_from_tables(g1, g2, pair_mi, target_mi, epsilon)
 
+        singles = np.abs(target_mi[:, None] - target_mi[None, :]) / (pair_mi + epsilon)
+        dist[upper] = singles[upper]
     elif metric == "euclidean":
 
-        def dist(g1, g2):
-            return _euclidean_group_distance(g1, g2, features)
+        def group_dist(g1, g2):
+            return _euclidean_group_distance(g1, g2, values)
 
+        dist[upper] = [group_dist((a,), (b,)) for a, b in zip(*upper)]
     else:
         raise ValueError(f"unknown metric {metric!r}")
 
-    groups: list[tuple[int, ...]] = [(i,) for i in range(n)]
-
-    initial = [
-        dist(groups[a], groups[b]) for a in range(n) for b in range(a + 1, n)
-    ]
     if stop_threshold == "auto":
-        threshold = float(np.mean(initial))
+        threshold = float(np.mean(dist[upper]))
     else:
         threshold = float(stop_threshold)
 
+    groups = {i: (i,) for i in range(n)}  # keyed by smallest member
     while len(groups) > 2:
-        best = None
-        best_key = None
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                d = dist(groups[a], groups[b])
-                key = (d, min(groups[a]), min(groups[b]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (a, b)
-        assert best is not None and best_key is not None
-        if best_key[0] > threshold:
+        a, b = divmod(int(np.argmin(dist)), n)
+        if dist[a, b] > threshold:
             break
-        a, b = best
-        merged = tuple(sorted(groups[a] + groups[b]))
-        groups = [g for i, g in enumerate(groups) if i not in (a, b)]
-        groups.append(merged)
-        groups.sort(key=lambda g: g[0])
+        if dist[a, b] == np.inf:  # every distance is infinite: the first pair
+            a, b = sorted(groups)[:2]
+        merged = tuple(sorted(groups.pop(a) + groups.pop(b)))
+        groups[a] = merged
+        dist[b, :] = dist[:, b] = np.inf
+        for k, g in groups.items():
+            if k < a:
+                dist[k, a] = group_dist(g, merged)
+            elif k > a:
+                dist[a, k] = group_dist(merged, g)
 
     return GroupPartition(
-        groups=tuple(FeatureGroup(g) for g in sorted(groups, key=lambda g: g[0])),
+        groups=tuple(FeatureGroup(groups[k]) for k in sorted(groups)),
         threshold_used=threshold,
         epsilon=epsilon,
     )
 
 
 def group_relevance(
-    c: FeatureGroup, features, target, spec: BinningSpec = DEFAULT_BINS
+    c: FeatureGroup,
+    features,
+    target,
+    spec: BinningSpec = DEFAULT_BINS,
+    mi: MIEngine | None = None,
 ) -> float:
     """Mean MI between the group's features and the target."""
-    features = np.asarray(features, dtype=float)
-    vals = [mutual_information(features[:, i], target, spec) for i in c.indices]
-    return float(np.mean(vals))
+    mi, names, values = named_columns(features, target, spec, mi)
+    idx = list(c.indices)
+    return float(np.mean(mi.target_mi([names[i] for i in idx], values[:, idx])))

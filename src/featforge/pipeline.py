@@ -24,7 +24,7 @@ from featforge.generation import (
     size_control,
 )
 from featforge.grouping import DEFAULT_EPSILON, FeatureGroup, GroupPartition, m_cluster
-from featforge.measures import utility_u
+from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS, expr_to_string
 from featforge.state_rep import EncoderConfig, StateEncoder, StateVector, compose_state, rep_operation
 
@@ -125,6 +125,7 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
     original = FeatureTable.from_dataset(dataset)
     d0 = original.n_features
     y = dataset.target
+    mi = MIEngine(y)
 
     enc_cfg = EncoderConfig(
         ae_col_dim=cfg.encoder.ae_col_dim,
@@ -181,11 +182,12 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
                 partition = _singleton_partition(n)
             else:
                 partition = m_cluster(
-                    table.values,
+                    table,
                     y,
                     stop_threshold=cfg.clustering.stop_threshold,
                     epsilon=cfg.clustering.epsilon,
                     metric=metric,
+                    mi=mi,
                 )
             rep_f = encoder.encode(table.values, scope="set")
             group_reps = tuple(
@@ -220,11 +222,11 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
                 except ValueError:
                     generated = []
             else:
-                generated = generate_unary(op, c1, c2, table, y, cfg.generation, rng=gen_rng)
+                generated = generate_unary(op, c1, c2, table, y, cfg.generation, rng=gen_rng, mi=mi)
 
-            u_before = utility_u(table.values, y)
+            u_before = utility_u(table, y, mi=mi)
             new_table = postprocess(table, generated, step=global_step)
-            u_after = utility_u(new_table.values, y)
+            u_after = utility_u(new_table, y, mi=mi)
             v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
             r1, r_op, r2 = compute_rewards(u_before, u_after, v_a)
             if cfg.r1_delta:
@@ -237,7 +239,7 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
             if v_a > best.score:
                 best = BestFeatureSet(table=new_table, score=v_a, step=global_step)
 
-            table = size_control(new_table, d0, y, cfg.generation)
+            table = size_control(new_table, d0, y, cfg.generation, mi=mi)
             report.steps.append(
                 {
                     "epoch": epoch,
@@ -271,6 +273,7 @@ def run_rdg_baseline(dataset: Dataset, cfg: PipelineConfig):
     original = FeatureTable.from_dataset(dataset)
     d0 = original.n_features
     y = dataset.target
+    mi = MIEngine(y)
 
     report = RunReport(method="rdg", config_seed=cfg.seed)
     report.baseline_score = downstream_performance(
@@ -298,17 +301,17 @@ def run_rdg_baseline(dataset: Dataset, cfg: PipelineConfig):
                         op, c1, c2, table, GenerationConfig(top_k_pairs=1), rng
                     )
             else:
-                generated = generate_unary(op, c1, c1, table, y, rng=rng)
+                generated = generate_unary(op, c1, c1, table, y, rng=rng, mi=mi)
 
-            u_before = utility_u(table.values, y)
+            u_before = utility_u(table, y, mi=mi)
             new_table = postprocess(table, generated, step=global_step)
-            u_after = utility_u(new_table.values, y)
+            u_after = utility_u(new_table, y, mi=mi)
             v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
             r1, r_op, r2 = compute_rewards(u_before, u_after, v_a)
 
             if v_a > best.score:
                 best = BestFeatureSet(table=new_table, score=v_a, step=global_step)
-            table = size_control(new_table, d0, y, cfg.generation)
+            table = size_control(new_table, d0, y, cfg.generation, mi=mi)
             report.steps.append(
                 {
                     "epoch": epoch,
