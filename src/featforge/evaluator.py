@@ -7,6 +7,7 @@ headline metric is macro-F1 / 1-RAE / ROC-AUC depending on the task.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,98 @@ def _predict_tree(node: _TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grow_trees(trees: range, build, X, y, classification: bool, n_classes: int, spec: ModelSpec):
+    """Trees ``trees`` of a forest; tree t draws its rows and splits from its own seed."""
+    m = len(y)
+    out = []
+    for t in trees:
+        rng = np.random.default_rng(spec.seed * 1_000_003 + t)
+        rows = rng.integers(0, m, size=m)
+        out.append(
+            build(X[rows], y[rows], classification, n_classes, spec.max_depth, spec.min_samples_leaf, rng)
+        )
+    return out
+
+
+def _tree_chunks(n_trees: int, k: int) -> list[range]:
+    """Tree indices 0..n_trees-1 in k contiguous runs, the longer runs first."""
+    q, r = divmod(n_trees, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return 1
+
+
+_pool = None
+_pool_pid = None
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker start-up: end the worker once its parent has gone.
+
+    A worker waits on a task queue that its own copy of the queue keeps open,
+    so without this a parent killed by a signal would leave it waiting forever.
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _tree_pool(workers: int):
+    """This process's forked tree-growing pool; None where it cannot have one.
+
+    Fork, not spawn: a worker then starts in microseconds, with the parent's
+    modules already imported, so the first fit of a search pays no start-up.
+    The pool is forked before its manager thread starts, and a forked child
+    (its pid differs from the creator's) starts its own pool, since the
+    inherited one has no manager thread in the child. A daemonic process,
+    such as a `multiprocessing.Pool` worker, may not start processes.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+
+    global _pool, _pool_pid
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return None
+    if _pool is None or _pool_pid != os.getpid():
+        _pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+        _pool_pid = os.getpid()
+        # multiprocessing's exit handler, which also runs in a multiprocessing
+        # child, calls this before it closes the pool's queues (priority 10)
+        # and joins the workers
+        Finalize(_pool, _pool.shutdown, exitpriority=100)
+    return _pool
+
+
+def _pool_result(future):
+    """A worker's trees; a dead worker raises BrokenProcessPool and retires the pool."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        _pool = None
+        raise
+
+
 class RandomForest:
     """Bagged CART trees with per-split feature subsampling."""
 
@@ -160,22 +253,17 @@ class RandomForest:
             raise ValueError("empty training set")
         if self.classification:
             self.n_classes = int(y.max()) + 1
-        m = len(y)
-        self.trees = []
-        for t in range(self.spec.n_trees):
-            rng = np.random.default_rng(self.spec.seed * 1_000_003 + t)
-            rows = rng.integers(0, m, size=m)
-            self.trees.append(
-                _build_tree(
-                    X[rows],
-                    y[rows],
-                    self.classification,
-                    self.n_classes,
-                    self.spec.max_depth,
-                    self.spec.min_samples_leaf,
-                    rng,
-                )
-            )
+        # looked up here, not in the workers, so a patched builder grows every tree
+        job = (_build_tree, X, y, self.classification, self.n_classes, self.spec)
+        chunks = _tree_chunks(self.spec.n_trees, min(_usable_cpus(), self.spec.n_trees))
+        # the caller grows the first chunk and the pool the others, in tree order
+        pool = _tree_pool(len(chunks) - 1) if len(chunks) > 1 else None
+        local, remote = (chunks[:1], chunks[1:]) if pool is not None else (chunks, [])
+        futures = [pool.submit(_grow_trees, chunk, *job) for chunk in remote]
+        trees = [tree for chunk in local for tree in _grow_trees(chunk, *job)]
+        for future in futures:
+            trees += _pool_result(future)
+        self.trees = trees
         return self
 
     def predict(self, X) -> np.ndarray:

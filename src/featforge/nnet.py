@@ -139,25 +139,42 @@ class AdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_step(net: DenseNet, grads, state: AdamState) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
-    grad_w, grad_b = grads
-    params = net.weights + net.biases
-    gradients = list(grad_w) + list(grad_b)
+def adam_update(params, grads, state: AdamState) -> None:
+    """One bias-corrected adaptive-moment update of ``params``, in place.
+
+    The moments are updated in place as well, so at most two parameter-sized
+    temporaries are alive at once.
+    """
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
-    for p, g in zip(params, gradients):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError("gradient shape mismatch")
     state.step += 1
-    t = state.step
-    for i, (p, g) in enumerate(zip(params, gradients)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        m_hat = state.m[i] / (1 - state.beta1**t)
-        v_hat = state.v[i] / (1 - state.beta2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1 - b1**state.step
+    c2 = 1 - b2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += g * (1 - b1)
+        g2 = g * (1 - b2)
+        g2 *= g
+        v *= b2
+        v += g2
+        delta = m / c1
+        delta *= state.learning_rate
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        delta /= denom
+        p -= delta
+
+
+def adam_step(net: DenseNet, grads, state: AdamState) -> None:
+    """One Adam update of every weight and bias of ``net``, in place."""
+    grad_w, grad_b = grads
+    adam_update(net.weights + net.biases, list(grad_w) + list(grad_b), state)
 
 
 def mse(pred, truth) -> float:

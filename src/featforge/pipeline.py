@@ -88,7 +88,8 @@ def _singleton_partition(n: int) -> GroupPartition:
 
 
 def _group_names(table: FeatureTable, group: FeatureGroup) -> list[str]:
-    return [table.names[i] for i in group.indices]
+    names = table.names  # renders every column's expression, so read it once
+    return [names[i] for i in group.indices]
 
 
 class _PendingTransition:

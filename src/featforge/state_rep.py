@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from featforge.measures import descriptive_stats, pearson_abs
-from featforge.nnet import bce, mse
+from featforge.nnet import AdamState, adam_update, bce, mse
 
 log = logging.getLogger(__name__)
 
@@ -90,15 +90,6 @@ def compose_state(role: str, parts) -> StateVector:
     return StateVector(values=values, method="concat")
 
 
-def _adam_update(params, grads, mom, vel, step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
-    for i, (p, g) in enumerate(zip(params, grads)):
-        mom[i] = b1 * mom[i] + (1 - b1) * g
-        vel[i] = b2 * vel[i] + (1 - b2) * g * g
-        m_hat = mom[i] / (1 - b1**step)
-        v_hat = vel[i] / (1 - b2**step)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 class AutoencoderEncoder:
     """Column-then-row autoencoder; the flattened bottleneck is the state.
 
@@ -112,9 +103,7 @@ class AutoencoderEncoder:
         self._shape: tuple[int, int] | None = None
         self._subsample: dict[int, np.ndarray] = {}
         self._params: list[np.ndarray] = []
-        self._mom: list[np.ndarray] = []
-        self._vel: list[np.ndarray] = []
-        self._adam_t = 0
+        self._adam = AdamState()
 
     @property
     def length(self) -> int:
@@ -143,9 +132,7 @@ class AutoencoderEncoder:
         wd = u(k * d, m_s * n, k * d)
         bd = np.zeros(m_s * n)
         self._params = [wc, bc, wr, br, wd, bd]
-        self._mom = [np.zeros_like(p) for p in self._params]
-        self._vel = [np.zeros_like(p) for p in self._params]
-        self._adam_t = 0
+        self._adam = AdamState()
         self._shape = (m_s, n)
 
     def _forward(self, f: np.ndarray):
@@ -177,8 +164,7 @@ class AutoencoderEncoder:
 
     def _train_step(self, f: np.ndarray) -> float:
         loss, grads = self._gradients(f)
-        self._adam_t += 1
-        _adam_update(self._params, grads, self._mom, self._vel, self._adam_t)
+        adam_update(self._params, grads, self._adam)
         return loss
 
     def reconstruction_loss(self, features) -> float:
@@ -213,9 +199,7 @@ class GraphAutoencoderEncoder:
         self.cfg = cfg
         self._shape: tuple[int, int] | None = None
         self._w: np.ndarray | None = None
-        self._mom: list[np.ndarray] = []
-        self._vel: list[np.ndarray] = []
-        self._adam_t = 0
+        self._adam = AdamState()
 
     @property
     def length(self) -> int:
@@ -234,9 +218,7 @@ class GraphAutoencoderEncoder:
         rng = np.random.default_rng(self.cfg.seed)
         bound = 1.0 / np.sqrt(m)
         self._w = rng.uniform(-bound, bound, size=(m, self.cfg.gae_dim))
-        self._mom = [np.zeros_like(self._w)]
-        self._vel = [np.zeros_like(self._w)]
-        self._adam_t = 0
+        self._adam = AdamState()
 
     def _forward(self, msg: np.ndarray):
         z_pre = msg @ self._w      # n x k
@@ -256,8 +238,7 @@ class GraphAutoencoderEncoder:
 
     def _train_step(self, msg: np.ndarray, a: np.ndarray) -> float:
         loss, g_w = self._gradients(msg, a)
-        self._adam_t += 1
-        _adam_update([self._w], [g_w], self._mom, self._vel, self._adam_t)
+        adam_update([self._w], [g_w], self._adam)
         return loss
 
     def reconstruction_loss(self, features) -> float:

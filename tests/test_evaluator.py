@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import cart_reference
 import numpy as np
@@ -23,6 +27,19 @@ from featforge.evaluator import (
     train_random_forest,
 )
 from featforge.pipeline import PipelineConfig, run_grfg
+
+
+@pytest.fixture(autouse=True)
+def tree_pool_forked_unpatched():
+    """Fork the tree pool's workers before a test patches the evaluator.
+
+    A worker keeps the module globals it was forked with: a pool forked while
+    `_build_tree` is patched would grow the patched tree in later fits. The
+    workers are forked at the pool's first task, not when it is created.
+    """
+    pool = evaluator._tree_pool(1)
+    if pool is not None:
+        pool.submit(int).result(timeout=60)
 
 
 def separable_data(seed=0, m=20):
@@ -151,6 +168,170 @@ class TestExactCart:
             ref_report.to_dict(), sort_keys=True
         )
         assert np.array_equal(best.table.values, ref_best.table.values)
+
+
+_TEST_PID = os.getpid()
+_BUILD_TREE = evaluator._build_tree
+
+
+def _root_record(X, y, classification, n_classes, max_depth, min_leaf, rng, depth=0):
+    """A builder whose single leaf records the building process and the tree's seed."""
+    return evaluator._TreeNode(value=(os.getpid(), int(rng.bit_generator.seed_seq.entropy)))
+
+
+def _fails_in_worker(*args):
+    if os.getpid() != _TEST_PID:
+        raise RuntimeError("builder failed in a worker")
+    return _BUILD_TREE(*args)
+
+
+def _exits_in_worker(*args):
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    return _BUILD_TREE(*args)
+
+
+def _fit_in_child(conn):
+    X, y = separable_data(4, m=60)
+    forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
+    conn.send((os.getpid(), evaluator._pool_pid, forest.predict(X)))
+    conn.close()
+
+
+def _fit_and_wait(conn):
+    X, y = separable_data(4, m=60)
+    train_random_forest(X, y, ModelSpec(seed=2), classification=True)
+    conn.send("fitted")  # the pool's worker keeps its own copy of conn open
+    time.sleep(600)
+
+
+def _fit_in_daemon():
+    X, y = separable_data(4, m=60)
+    forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
+    return evaluator._pool_pid == os.getpid(), forest.predict(X)
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelFit:
+    """Trees grown across processes are the trees of a one-CPU fit."""
+
+    @pytest.mark.parametrize("classification", [False, True])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
+    def test_pooled_equals_serial(self, n_trees, classification, monkeypatch):
+        rng = np.random.default_rng(n_trees)
+        X = np.round(rng.normal(size=(150, 7)), 1)
+        if classification:
+            y = rng.integers(0, 3, size=150).astype(float)
+        else:
+            y = np.round(X[:, 0] * X[:, 1] + rng.normal(size=150), 2)
+        spec = ModelSpec(n_trees=n_trees, seed=n_trees + 7)
+        with monkeypatch.context() as patch:
+            cpus(patch, 3)
+            pooled = train_random_forest(X, y, spec, classification)
+        with monkeypatch.context() as patch:
+            cpus(patch, 1)
+            serial = train_random_forest(X, y, spec, classification)
+        assert len(pooled.trees) == len(serial.trees) == n_trees
+        for a, b in zip(pooled.trees, serial.trees):
+            assert same_tree(a, b)
+        assert np.array_equal(pooled.predict(X), serial.predict(X))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_patched_builder_grows_every_root(self, n_cpus, monkeypatch):
+        cpus(monkeypatch, n_cpus)
+        monkeypatch.setattr(evaluator, "_build_tree", _root_record)
+        X, y = separable_data(1)
+        forest = train_random_forest(X, y, ModelSpec(n_trees=10, seed=4), classification=False)
+        pids = [tree.value[0] for tree in forest.trees]
+        assert [tree.value[1] for tree in forest.trees] == [4 * 1_000_003 + t for t in range(10)]
+        # the caller grows the first chunk, ceil(10 / n_cpus) trees; workers the rest
+        first = -(-10 // n_cpus)
+        assert pids[:first] == [os.getpid()] * first
+        assert os.getpid() not in pids[first:]
+
+    def test_worker_error_raises_from_fit(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        X, y = separable_data(2)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_build_tree", _fails_in_worker)
+            with pytest.raises(RuntimeError, match="builder failed in a worker"):
+                train_random_forest(X, y, ModelSpec(), classification=True)
+        assert len(train_random_forest(X, y, ModelSpec(), classification=True).trees) == 10
+
+    def test_dead_worker_raises_and_pool_is_replaced(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        X, y = separable_data(3)
+        broken = evaluator._tree_pool(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_build_tree", _exits_in_worker)
+            with pytest.raises(BrokenProcessPool):
+                train_random_forest(X, y, ModelSpec(), classification=True)
+        assert evaluator._pool is None
+        forest = train_random_forest(X, y, ModelSpec(), classification=True)
+        assert evaluator._pool is not broken and len(forest.trees) == 10
+
+    def test_other_process_pool_is_replaced(self, monkeypatch):
+        inherited = evaluator._tree_pool(1)
+        monkeypatch.setattr(evaluator, "_pool", inherited)  # restored after the test
+        monkeypatch.setattr(evaluator, "_pool_pid", os.getpid() + 1)  # as a forked child sees it
+        own = evaluator._tree_pool(1)
+        try:
+            assert own is not inherited and evaluator._pool_pid == os.getpid()
+            assert own.submit(abs, -3).result(timeout=60) == 3
+        finally:
+            own.shutdown()
+
+    def test_forked_child_fits_with_its_own_pool(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        X, y = separable_data(4, m=60)
+        expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fit_in_child, args=(send,))
+        child.start()
+        send.close()
+        try:
+            # the inherited pool has no manager thread in the child: using it would hang
+            assert receive.poll(60), "the forked child's fit did not finish"
+            pid, pool_pid, pred = receive.recv()
+        finally:
+            child.join(60)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert pool_pid == pid != os.getpid()
+        assert np.array_equal(pred, expected)
+
+    def test_worker_exits_when_its_parent_is_killed(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fit_and_wait, args=(send,))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60) and receive.recv() == "fitted"
+        finally:
+            child.kill()
+            child.join(60)
+        assert not child.is_alive()
+        # the worker held the last write end: end of file means it has exited
+        assert receive.poll(30), "the orphaned tree worker is still running"
+        with pytest.raises(EOFError):
+            receive.recv()
+
+    def test_daemonic_process_fits_without_a_pool(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        X, y = separable_data(4, m=60)
+        expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
+        # a multiprocessing.Pool worker is daemonic and may not start processes
+        with multiprocessing.get_context("fork").Pool(1) as daemons:
+            own_pool, pred = daemons.apply_async(_fit_in_daemon).get(60)
+        assert not own_pool
+        assert np.array_equal(pred, expected)
 
 
 class TestRidge:

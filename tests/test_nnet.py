@@ -1,3 +1,4 @@
+import adam_reference
 import numpy as np
 import pytest
 
@@ -130,6 +131,29 @@ class TestAdam:
             grads = backward(net, cache, 2.0 * (out - y) / len(x))
             adam_step(net, grads, state)
         assert loss() <= initial / 10.0
+
+
+class TestExactAdam:
+    """The in-place Adam leaves the parameters and moments of the former one."""
+
+    def test_adam_step_matches_reference(self):
+        rng = np.random.default_rng(12)
+        net = init_net((4, 6, 3), ("relu", "linear"), seed=2)
+        ref = net.copy()
+        state, ref_state = AdamState(learning_rate=0.05), AdamState(learning_rate=0.05)
+        for _ in range(8):
+            # gradients over many magnitudes, so every rounding step matters
+            grads = (
+                [rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 3) for w in net.weights],
+                [rng.normal(size=b.shape) * 10.0 ** rng.integers(-6, 3) for b in net.biases],
+            )
+            kept = [g.copy() for g in grads[0] + grads[1]]
+            adam_step(net, grads, state)
+            adam_reference.adam_step(ref, grads, ref_state)
+            assert all(np.array_equal(a, b) for a, b in zip(grads[0] + grads[1], kept))
+            assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), ref.parameters()))
+            assert all(np.array_equal(a, b) for a, b in zip(state.m + state.v, ref_state.m + ref_state.v))
+        assert state.step == ref_state.step == 8
 
 
 class TestLossesAndSoftmax:

@@ -1,8 +1,10 @@
 import logging
 
+import adam_reference
 import numpy as np
 import pytest
 
+from featforge import state_rep
 from featforge.nnet import bce, mse
 from featforge.state_rep import (
     DS_LENGTH,
@@ -247,3 +249,25 @@ class TestFitLength:
     def test_pad(self):
         out = _fit_length(np.array([1.0]), 3)
         assert np.array_equal(out, [1.0, 0.0, 0.0])
+
+
+class TestExactAdam:
+    """Both encoders train as they did with the former out-of-place Adam."""
+
+    @pytest.mark.parametrize("kind", [AutoencoderEncoder, GraphAutoencoderEncoder])
+    def test_encoder_matches_reference(self, kind, monkeypatch):
+        cfg = EncoderConfig(seed=3)
+        # the width change rebuilds the encoder and restarts its Adam state
+        inputs = [random_features(seed, m=40, n=n) for seed, n in ((0, 5), (1, 5), (2, 5), (3, 6), (4, 6))]
+        enc = kind(cfg)
+        states = [enc.encode(f).values for f in inputs]
+        with monkeypatch.context() as patch:
+            patch.setattr(state_rep, "adam_update", adam_reference.encoder_update)
+            ref = kind(cfg)
+            ref_states = [ref.encode(f).values for f in inputs]
+        assert ref._adam.step == enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
+        assert all(np.array_equal(a, b) for a, b in zip(states, ref_states))
+        params = enc._params if kind is AutoencoderEncoder else [enc._w]
+        ref_params = ref._params if kind is AutoencoderEncoder else [ref._w]
+        assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
+        assert all(np.array_equal(a, b) for a, b in zip(enc._adam.m + enc._adam.v, ref._adam.m + ref._adam.v))
