@@ -8,6 +8,7 @@ headline metric is macro-F1 / 1-RAE / ROC-AUC depending on the task.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,26 +146,6 @@ def _predict_tree(node: _TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_trees(trees: range, build, X, y, classification: bool, n_classes: int, spec: ModelSpec):
-    """Trees ``trees`` of a forest; tree t draws its rows and splits from its own seed."""
-    m = len(y)
-    out = []
-    for t in trees:
-        rng = np.random.default_rng(spec.seed * 1_000_003 + t)
-        rows = rng.integers(0, m, size=m)
-        out.append(
-            build(X[rows], y[rows], classification, n_classes, spec.max_depth, spec.min_samples_leaf, rng)
-        )
-    return out
-
-
-def _tree_chunks(n_trees: int, k: int) -> list[range]:
-    """Tree indices 0..n_trees-1 in k contiguous runs, the longer runs first."""
-    q, r = divmod(n_trees, k)
-    bounds = [i * q + min(i, r) for i in range(k + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -172,69 +153,47 @@ def _usable_cpus() -> int:
         return 1
 
 
-_pool = None
-_pool_pid = None
+def _fork_call(fn):
+    """Call ``fn()`` in a forked copy of this process.
 
-
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker start-up: end the worker once its parent has gone.
-
-    A worker waits on a task queue that its own copy of the queue keeps open,
-    so without this a parent killed by a signal would leave it waiting forever.
+    Returns the child's pid and the read end of a pipe that carries the
+    pickled ``(ok, value or exception)`` back; `_join` reads it and reaps the
+    child. The child is a copy-on-write image of the caller, so it sees the
+    caller's arrays and module globals (a patched builder too) without any of
+    them being sent, and it leaves by ``os._exit``, so it runs none of the
+    exit handlers and flushes none of the buffered output it inherited.
     """
-    import threading
-    import time
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(1.0)
-        os._exit(0)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _tree_pool(workers: int):
-    """This process's forked tree-growing pool; None where it cannot have one.
-
-    Fork, not spawn: a worker then starts in microseconds, with the parent's
-    modules already imported, so the first fit of a search pays no start-up.
-    The pool is forked before its manager thread starts, and a forked child
-    (its pid differs from the creator's) starts its own pool, since the
-    inherited one has no manager thread in the child. A daemonic process,
-    such as a `multiprocessing.Pool` worker, may not start processes.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing.util import Finalize
-
-    global _pool, _pool_pid
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return None
-    if _pool is None or _pool_pid != os.getpid():
-        _pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_parent,
-            initargs=(os.getpid(),),
-        )
-        _pool_pid = os.getpid()
-        # multiprocessing's exit handler, which also runs in a multiprocessing
-        # child, calls this before it closes the pool's queues (priority 10)
-        # and joins the workers
-        Finalize(_pool, _pool.shutdown, exitpriority=100)
-    return _pool
-
-
-def _pool_result(future):
-    """A worker's trees; a dead worker raises BrokenProcessPool and retires the pool."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    global _pool
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
     try:
-        return future.result()
-    except BrokenProcessPool:
-        _pool = None
-        raise
+        os.close(read)
+        try:
+            outcome = (True, fn())
+        except BaseException as exc:
+            outcome = (False, exc)
+        with os.fdopen(write, "wb") as out:
+            out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(pid: int, read: int) -> tuple[int, bytes]:
+    """Child ``pid``'s exit code and pipe contents, once it has exited.
+
+    The pipe is closed before the wait, so a child still writing to it gets
+    EPIPE and exits instead of blocking.
+    """
+    try:
+        with os.fdopen(read, "rb") as src:
+            payload = src.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code, payload
 
 
 class RandomForest:
@@ -253,18 +212,51 @@ class RandomForest:
             raise ValueError("empty training set")
         if self.classification:
             self.n_classes = int(y.max()) + 1
-        # looked up here, not in the workers, so a patched builder grows every tree
-        job = (_build_tree, X, y, self.classification, self.n_classes, self.spec)
-        chunks = _tree_chunks(self.spec.n_trees, min(_usable_cpus(), self.spec.n_trees))
-        # the caller grows the first chunk and the pool the others, in tree order
-        pool = _tree_pool(len(chunks) - 1) if len(chunks) > 1 else None
-        local, remote = (chunks[:1], chunks[1:]) if pool is not None else (chunks, [])
-        futures = [pool.submit(_grow_trees, chunk, *job) for chunk in remote]
-        trees = [tree for chunk in local for tree in _grow_trees(chunk, *job)]
-        for future in futures:
-            trees += _pool_result(future)
-        self.trees = trees
+        n = self.spec.n_trees
+        if n < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
+            self.trees = self._grow(range(n), X, y)
+            return self
+        # a forked child grows the second half of the trees while the caller
+        # grows the first; each tree has its own seed, so the forest is the
+        # one a single process grows
+        half = (n + 1) // 2
+        pid, read = _fork_call(lambda: self._grow(range(half, n), X, y))
+        try:
+            trees = self._grow(range(half), X, y)
+        except BaseException:
+            import signal  # only this error path needs it; keeps it out of start-up
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code, payload = _join(pid, read)
+        if code != 0:
+            raise ChildProcessError(f"tree-growing child {pid} exited with code {code}")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        self.trees = trees + value
         return self
+
+    def _grow(self, trees: range, X: np.ndarray, y: np.ndarray) -> list[_TreeNode]:
+        """Trees ``trees`` of the forest; tree t draws its rows and splits from its own seed."""
+        spec, m = self.spec, len(y)
+        out = []
+        for t in trees:
+            rng = np.random.default_rng(spec.seed * 1_000_003 + t)
+            rows = rng.integers(0, m, size=m)
+            out.append(
+                _build_tree(
+                    X[rows],
+                    y[rows],
+                    self.classification,
+                    self.n_classes,
+                    spec.max_depth,
+                    spec.min_samples_leaf,
+                    rng,
+                )
+            )
+        return out
 
     def predict(self, X) -> np.ndarray:
         if not self.trees:

@@ -1,8 +1,10 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import cart_reference
 import numpy as np
@@ -27,19 +29,6 @@ from featforge.evaluator import (
     train_random_forest,
 )
 from featforge.pipeline import PipelineConfig, run_grfg
-
-
-@pytest.fixture(autouse=True)
-def tree_pool_forked_unpatched():
-    """Fork the tree pool's workers before a test patches the evaluator.
-
-    A worker keeps the module globals it was forked with: a pool forked while
-    `_build_tree` is patched would grow the patched tree in later fits. The
-    workers are forked at the pool's first task, not when it is created.
-    """
-    pool = evaluator._tree_pool(1)
-    if pool is not None:
-        pool.submit(int).result(timeout=60)
 
 
 def separable_data(seed=0, m=20):
@@ -179,48 +168,76 @@ def _root_record(X, y, classification, n_classes, max_depth, min_leaf, rng, dept
     return evaluator._TreeNode(value=(os.getpid(), int(rng.bit_generator.seed_seq.entropy)))
 
 
-def _fails_in_worker(*args):
+def _fails_in_child(*args):
     if os.getpid() != _TEST_PID:
-        raise RuntimeError("builder failed in a worker")
+        raise RuntimeError("builder failed in the child")
     return _BUILD_TREE(*args)
 
 
-def _exits_in_worker(*args):
+def _exits_in_child(*args):
     if os.getpid() != _TEST_PID:
         os._exit(3)
     return _BUILD_TREE(*args)
 
 
+def _fails_in_caller(*args):
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("builder failed in the caller")
+    time.sleep(120)
+    raise RuntimeError("the child was not killed")
+
+
 def _fit_in_child(conn):
     X, y = separable_data(4, m=60)
     forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
-    conn.send((os.getpid(), evaluator._pool_pid, forest.predict(X)))
+    conn.send(forest.predict(X))
     conn.close()
 
 
-def _fit_and_wait(conn):
+_HANGING_CALLER = _HANGING_CONN = None
+
+
+def _hangs_in_caller(*args):
+    """The caller reports that it forked and hangs; the child waits for the caller to die."""
+    if os.getpid() == _HANGING_CALLER:
+        _HANGING_CONN.send(os.getpid())
+        time.sleep(600)
+    deadline = time.monotonic() + 60
+    while os.getppid() == _HANGING_CALLER and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _BUILD_TREE(*args)
+
+
+def _fit_and_hang(conn):
+    global _HANGING_CALLER, _HANGING_CONN
+    _HANGING_CALLER, _HANGING_CONN = os.getpid(), conn
+    # this process is thrown away, so nothing needs restoring
+    os.sched_getaffinity = lambda pid: {0, 1}
+    evaluator._build_tree = _hangs_in_caller
     X, y = separable_data(4, m=60)
     train_random_forest(X, y, ModelSpec(seed=2), classification=True)
-    conn.send("fitted")  # the pool's worker keeps its own copy of conn open
-    time.sleep(600)
 
 
 def _fit_in_daemon():
     X, y = separable_data(4, m=60)
-    forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
-    return evaluator._pool_pid == os.getpid(), forest.predict(X)
+    return train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
 
 
 def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-class TestParallelFit:
-    """Trees grown across processes are the trees of a one-CPU fit."""
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedFit:
+    """Trees grown by a forked child are the trees of a one-CPU fit."""
 
     @pytest.mark.parametrize("classification", [False, True])
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
-    def test_pooled_equals_serial(self, n_trees, classification, monkeypatch):
+    def test_forked_equals_serial(self, n_trees, classification, monkeypatch):
         rng = np.random.default_rng(n_trees)
         X = np.round(rng.normal(size=(150, 7)), 1)
         if classification:
@@ -229,62 +246,91 @@ class TestParallelFit:
             y = np.round(X[:, 0] * X[:, 1] + rng.normal(size=150), 2)
         spec = ModelSpec(n_trees=n_trees, seed=n_trees + 7)
         with monkeypatch.context() as patch:
-            cpus(patch, 3)
-            pooled = train_random_forest(X, y, spec, classification)
+            cpus(patch, 2)
+            forked = train_random_forest(X, y, spec, classification)
         with monkeypatch.context() as patch:
             cpus(patch, 1)
             serial = train_random_forest(X, y, spec, classification)
-        assert len(pooled.trees) == len(serial.trees) == n_trees
-        for a, b in zip(pooled.trees, serial.trees):
+        assert len(forked.trees) == len(serial.trees) == n_trees
+        for a, b in zip(forked.trees, serial.trees):
             assert same_tree(a, b)
-        assert np.array_equal(pooled.predict(X), serial.predict(X))
+        assert np.array_equal(forked.predict(X), serial.predict(X))
 
-    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
-    def test_patched_builder_grows_every_root(self, n_cpus, monkeypatch):
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_trees", [2, 3, 10])
+    def test_patched_builder_grows_every_root(self, n_cpus, n_trees, monkeypatch):
         cpus(monkeypatch, n_cpus)
         monkeypatch.setattr(evaluator, "_build_tree", _root_record)
         X, y = separable_data(1)
-        forest = train_random_forest(X, y, ModelSpec(n_trees=10, seed=4), classification=False)
+        forest = train_random_forest(X, y, ModelSpec(n_trees=n_trees, seed=4), classification=False)
+        assert [tree.value[1] for tree in forest.trees] == [4 * 1_000_003 + t for t in range(n_trees)]
         pids = [tree.value[0] for tree in forest.trees]
-        assert [tree.value[1] for tree in forest.trees] == [4 * 1_000_003 + t for t in range(10)]
-        # the caller grows the first chunk, ceil(10 / n_cpus) trees; workers the rest
-        first = -(-10 // n_cpus)
-        assert pids[:first] == [os.getpid()] * first
-        assert os.getpid() not in pids[first:]
+        if n_cpus == 1:
+            assert pids == [os.getpid()] * n_trees
+            return
+        # however many CPUs, the caller grows the first half and one child the rest
+        half = (n_trees + 1) // 2
+        assert pids[:half] == [os.getpid()] * half
+        assert len(set(pids[half:])) == 1 and os.getpid() not in pids[half:]
+        assert_reaped(pids[-1])
 
-    def test_worker_error_raises_from_fit(self, monkeypatch):
+    def test_child_error_raises_from_fit(self, monkeypatch):
         cpus(monkeypatch, 2)
         X, y = separable_data(2)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluator, "_build_tree", _fails_in_worker)
-            with pytest.raises(RuntimeError, match="builder failed in a worker"):
+            patch.setattr(evaluator, "_build_tree", _fails_in_child)
+            with pytest.raises(RuntimeError, match="builder failed in the child"):
                 train_random_forest(X, y, ModelSpec(), classification=True)
         assert len(train_random_forest(X, y, ModelSpec(), classification=True).trees) == 10
 
-    def test_dead_worker_raises_and_pool_is_replaced(self, monkeypatch):
+    def test_dead_child_raises_from_fit(self, monkeypatch):
         cpus(monkeypatch, 2)
         X, y = separable_data(3)
-        broken = evaluator._tree_pool(1)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluator, "_build_tree", _exits_in_worker)
-            with pytest.raises(BrokenProcessPool):
+            patch.setattr(evaluator, "_build_tree", _exits_in_child)
+            with pytest.raises(ChildProcessError, match="exited with code 3"):
                 train_random_forest(X, y, ModelSpec(), classification=True)
-        assert evaluator._pool is None
-        forest = train_random_forest(X, y, ModelSpec(), classification=True)
-        assert evaluator._pool is not broken and len(forest.trees) == 10
+        assert len(train_random_forest(X, y, ModelSpec(), classification=True).trees) == 10
 
-    def test_other_process_pool_is_replaced(self, monkeypatch):
-        inherited = evaluator._tree_pool(1)
-        monkeypatch.setattr(evaluator, "_pool", inherited)  # restored after the test
-        monkeypatch.setattr(evaluator, "_pool_pid", os.getpid() + 1)  # as a forked child sees it
-        own = evaluator._tree_pool(1)
+    def test_caller_error_kills_and_reaps_the_child(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(evaluator, "_build_tree", _fails_in_caller)
+        forked = []
+        fork_call = evaluator._fork_call
+
+        def recording_fork_call(fn):
+            pid, read = fork_call(fn)
+            forked.append(pid)
+            return pid, read
+
+        monkeypatch.setattr(evaluator, "_fork_call", recording_fork_call)
+        X, y = separable_data(2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="builder failed in the caller"):
+            train_random_forest(X, y, ModelSpec(), classification=True)
+        # the child would sleep for 120 s
+        assert time.monotonic() - start < 60
+        assert len(forked) == 1
+        assert_reaped(forked[0])
+
+    def test_child_exits_when_the_caller_is_killed(self):
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        caller = ctx.Process(target=_fit_and_hang, args=(send,))
+        caller.start()
+        send.close()
         try:
-            assert own is not inherited and evaluator._pool_pid == os.getpid()
-            assert own.submit(abs, -3).result(timeout=60) == 3
+            assert receive.poll(60), "the caller did not fork"
+            assert receive.recv() == caller.pid
         finally:
-            own.shutdown()
+            caller.kill()
+            caller.join(60)
+        # the child held the last write end: end of file means it has exited
+        assert receive.poll(60), "the tree-growing child is still running"
+        with pytest.raises(EOFError):
+            receive.recv()
 
-    def test_forked_child_fits_with_its_own_pool(self, monkeypatch):
+    def test_multiprocessing_children_fit(self, monkeypatch):
         cpus(monkeypatch, 2)
         X, y = separable_data(4, m=60)
         expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
@@ -294,44 +340,36 @@ class TestParallelFit:
         child.start()
         send.close()
         try:
-            # the inherited pool has no manager thread in the child: using it would hang
             assert receive.poll(60), "the forked child's fit did not finish"
-            pid, pool_pid, pred = receive.recv()
+            pred = receive.recv()
         finally:
             child.join(60)
             if child.is_alive():
                 child.kill()
         assert child.exitcode == 0
-        assert pool_pid == pid != os.getpid()
         assert np.array_equal(pred, expected)
+        # a multiprocessing.Pool worker is daemonic: it may not start
+        # multiprocessing children, but it may fork
+        with ctx.Pool(1) as daemons:
+            assert np.array_equal(daemons.apply_async(_fit_in_daemon).get(60), expected)
 
-    def test_worker_exits_when_its_parent_is_killed(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_fit_and_wait, args=(send,))
-        child.start()
-        send.close()
-        try:
-            assert receive.poll(60) and receive.recv() == "fitted"
-        finally:
-            child.kill()
-            child.join(60)
-        assert not child.is_alive()
-        # the worker held the last write end: end of file means it has exited
-        assert receive.poll(30), "the orphaned tree worker is still running"
-        with pytest.raises(EOFError):
-            receive.recv()
-
-    def test_daemonic_process_fits_without_a_pool(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        X, y = separable_data(4, m=60)
-        expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
-        # a multiprocessing.Pool worker is daemonic and may not start processes
-        with multiprocessing.get_context("fork").Pool(1) as daemons:
-            own_pool, pred = daemons.apply_async(_fit_in_daemon).get(60)
-        assert not own_pool
-        assert np.array_equal(pred, expected)
+    def test_fork_after_a_fit_exits_cleanly(self):
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from featforge.evaluator import ModelSpec, train_random_forest\n"
+            "X = np.arange(120.0).reshape(60, 2); y = (X[:, 0] > 50).astype(float)\n"
+            "train_random_forest(X, y, ModelSpec(), True)\n"
+            "pid = os.fork()\n"
+            "train_random_forest(X, y, ModelSpec(), True)\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        src = str(Path(evaluator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestRidge:
