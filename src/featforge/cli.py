@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -114,6 +115,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _usage_errors(build):
+    """Report a ValueError from reading a config value as a usage error."""
+
+    @functools.wraps(build)
+    def checked(args, file_cfg: dict):
+        try:
+            return build(args, file_cfg)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+
+    return checked
+
+
+@_usage_errors
 def _resolve_seed(args, file_cfg: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -125,6 +140,7 @@ def _resolve_seed(args, file_cfg: dict) -> int:
     return 0
 
 
+@_usage_errors
 def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
     def get(key, default):
         return file_cfg.get(key, default)

@@ -1,8 +1,8 @@
 """Downstream models and metrics that score a candidate feature set.
 
-Random forest (CART trees built from scratch) for classification/regression,
-closed-form ridge regression, and a KNN mean-distance anomaly scorer.  The
-headline metric is macro-F1 / 1-RAE / ROC-AUC depending on the task.
+Random forest (CART trees built from scratch) for classification/regression
+and a KNN mean-distance anomaly scorer.  The headline metric is macro-F1 /
+1-RAE / ROC-AUC depending on the task.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from featforge.data_core import SplitPlan, Task
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str = "random_forest"  # random_forest | ridge | knn_anomaly
     n_trees: int = 10
     max_depth: int = 8
     min_samples_leaf: int = 2
-    ridge_lambda: float = 1.0
     knn_k: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if min(self.n_trees, self.max_depth, self.min_samples_leaf, self.knn_k) < 1:
             raise ValueError("hyperparameters must be positive")
-        if self.ridge_lambda <= 0:
-            raise ValueError("ridge_lambda must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ def train_random_forest(X, y, spec: ModelSpec, classification: bool) -> RandomFo
     return RandomForest(spec, classification).fit(X, y)
 
 
-# ------------------------------------------------------------ ridge and KNN
+# ----------------------------------------------------------------------- KNN
 
 
 def _standardize(train: np.ndarray, other: np.ndarray):
@@ -282,21 +278,6 @@ def _standardize(train: np.ndarray, other: np.ndarray):
     sd = train.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
     return (train - mu) / sd, (other - mu) / sd
-
-
-def ridge_fit_predict(train_X, train_y, test_X, lam: float = 1.0) -> np.ndarray:
-    """Closed-form ridge on standardized features; intercept unpenalized."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    train_X = np.asarray(train_X, dtype=float)
-    test_X = np.asarray(test_X, dtype=float)
-    train_y = np.asarray(train_y, dtype=float)
-    xs, xt = _standardize(train_X, test_X)
-    y_mean = train_y.mean()
-    yc = train_y - y_mean
-    n = xs.shape[1]
-    w = np.linalg.solve(xs.T @ xs + lam * np.eye(n), xs.T @ yc)
-    return xt @ w + y_mean
 
 
 def knn_anomaly_scores(train_X, test_X, k: int = 5) -> np.ndarray:
@@ -312,27 +293,7 @@ def knn_anomaly_scores(train_X, test_X, k: int = 5) -> np.ndarray:
     return part.mean(axis=1)
 
 
-def knn_self_scores(X, k: int = 5) -> np.ndarray:
-    """Anomaly score within one set: mean distance to k nearest others."""
-    X = np.asarray(X, dtype=float)
-    if k >= len(X):
-        raise ValueError("k must be < number of rows")
-    xs, _ = _standardize(X, X)
-    d2 = np.sum(xs**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xs @ xs.T
-    d = np.sqrt(np.maximum(d2, 0.0))
-    np.fill_diagonal(d, np.inf)
-    part = np.sort(d, axis=1)[:, :k]
-    return part.mean(axis=1)
-
-
 # ------------------------------------------------------------------- metrics
-
-
-def confusion_counts(pred, truth, n_classes: int):
-    mat = np.zeros((n_classes, n_classes), dtype=int)
-    for p, t in zip(np.asarray(pred, dtype=int), np.asarray(truth, dtype=int)):
-        mat[t, p] += 1
-    return mat
 
 
 def metric_f1(pred, truth) -> float:

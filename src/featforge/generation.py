@@ -10,6 +10,7 @@ feature count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class FeatureTable:
         elif len(self.created_at) != values.shape[1]:
             raise ValueError("created_at length mismatch")
 
-    @property
+    @cached_property  # stored in __dict__, which frozen=True does not guard
     def names(self) -> tuple[str, ...]:
         return tuple(expr_to_string(e) for e in self.exprs)
 

@@ -1,14 +1,19 @@
 """Full search loop: cluster -> cascade-select -> generate -> evaluate -> prune.
 
-Also contains the random feature-operation-feature baseline with the same
-budget and post-processing, and export of the traceable best feature set.
+One step engine runs both methods.  A policy chooses each step's two groups,
+operation and generated columns, and learns from the rewards: the cascading
+agents over M-Clustering's groups (GRFG), or a uniformly random
+feature-operation-feature pick (the RDG baseline).  The engine owns the rest,
+so both methods share the budget, post-processing, rewards, size control and
+step records by construction.  Also exports the traceable best feature set.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from featforge.generation import (
 from featforge.grouping import DEFAULT_EPSILON, FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS, expr_to_string
-from featforge.state_rep import EncoderConfig, StateEncoder, StateVector, compose_state, rep_operation
+from featforge.state_rep import EncoderConfig, StateEncoder, compose_state, rep_operation
 
 
 @dataclass(frozen=True)
@@ -87,254 +92,177 @@ def _singleton_partition(n: int) -> GroupPartition:
     )
 
 
-def _group_names(table: FeatureTable, group: FeatureGroup) -> list[str]:
-    names = table.names  # renders every column's expression, so read it once
-    return [names[i] for i in group.indices]
+class _CascadePolicy:
+    """GRFG: M-Clustering's groups, state encoders and the three cascading agents."""
 
+    ROLES = ("group1", "operation", "group2")
 
-class _PendingTransition:
-    """Half-built transition waiting for the next step's state and candidates."""
+    def __init__(self, cfg: PipelineConfig, seeds: list, y: np.ndarray, mi: MIEngine):
+        self.cfg, self.y, self.mi = cfg, y, mi
+        self.encoder = StateEncoder(cfg.state_method, replace(cfg.encoder, seed=int(seeds[1]) % 2**31))
+        width = self.encoder.length
+        n_ops = len(ALL_OPERATIONS)
+        self.op_candidates = tuple(rep_operation(i, n_ops) for i in range(n_ops))
+        shapes = ((width, width), (2 * width, n_ops), (2 * width + n_ops, width))
+        self.agents = [
+            CascadeAgent(state_width, candidate_width, replace(cfg.agent, seed=int(seeds[2 + i]) % 2**31))
+            for i, (state_width, candidate_width) in enumerate(shapes)
+        ]
+        self.gen_rng = np.random.default_rng(int(seeds[5]) % 2**31)
+        # each agent's last choice, a Transition waiting for its reward and the next state
+        self.pending: list = [None] * len(self.agents)
 
-    __slots__ = ("state", "action_rep", "action_index", "candidates", "reward", "prob")
-
-    def __init__(self, state, action_rep, action_index, candidates, reward, prob):
-        self.state = state
-        self.action_rep = action_rep
-        self.action_index = action_index
-        self.candidates = candidates
-        self.reward = reward
-        self.prob = prob
-
-    def finalize(self, next_state: StateVector, next_candidates) -> Transition:
-        return Transition(
-            state=self.state,
-            action_rep=self.action_rep,
-            action_index=self.action_index,
-            candidates=tuple(self.candidates),
-            reward=self.reward,
-            next_state=next_state,
-            next_candidates=tuple(next_candidates),
-            action_prob=self.prob,
+    def choose(self, table: FeatureTable, global_step: int):
+        cfg = self.cfg
+        if cfg.no_cluster or table.n_features == 1:
+            partition = _singleton_partition(table.n_features)
+        else:
+            partition = m_cluster(
+                table,
+                self.y,
+                stop_threshold=cfg.clustering.stop_threshold,
+                epsilon=cfg.clustering.epsilon,
+                metric="euclidean" if cfg.euclidean_distance else "relevance_redundancy",
+                mi=self.mi,
+            )
+        rep_f = self.encoder.encode(table.values, scope="set")
+        group_reps = tuple(
+            self.encoder.encode(table.values[:, list(g.indices)], scope="group")
+            for g in partition.groups
         )
+        eps = epsilon_at(global_step, cfg.agent)
+        parts, chosen = [rep_f], []
+        for k, (role, agent, candidates) in enumerate(
+            zip(self.ROLES, self.agents, (group_reps, self.op_candidates, group_reps))
+        ):
+            state = compose_state(role, parts)
+            if self.pending[k] is not None:
+                agent.observe(self.pending[k](next_state=state, next_candidates=candidates))
+            idx, prob = agent.select(state, candidates, eps)
+            self.pending[k] = partial(
+                Transition,
+                state=state,
+                action_rep=candidates[idx],
+                action_index=idx,
+                candidates=candidates,
+                action_prob=prob,
+            )
+            parts.append(candidates[idx])
+            chosen.append(idx)
+        i1, i_op, i2 = chosen
+        c1, op, c2 = partition.groups[i1], ALL_OPERATIONS[i_op], partition.groups[i2]
+
+        if op.is_binary:
+            try:
+                generated = cross_binary_topk(op, c1, c2, table, cfg.generation, self.gen_rng)
+            except ValueError:
+                generated = []
+        else:
+            generated = generate_unary(op, c1, c2, table, self.y, cfg.generation, rng=self.gen_rng, mi=self.mi)
+        return c1, op, c2, generated
+
+    def learn(self, rewards: tuple[float, float, float]) -> tuple[float, float, float]:
+        r1, r_op, r2 = rewards
+        if self.cfg.r1_delta:
+            r1 = r_op
+        self.pending = [partial(t, reward=r) for t, r in zip(self.pending, (r1, r_op, r2))]
+        return r1, r_op, r2
+
+
+class _RandomPolicy:
+    """RDG: a uniformly random feature, operation and feature each step."""
+
+    def __init__(self, cfg: PipelineConfig, seeds: list, y: np.ndarray, mi: MIEngine):
+        self.rng = np.random.default_rng(int(seeds[6]) % 2**31)
+        self.y, self.mi = y, mi
+
+    def choose(self, table: FeatureTable, global_step: int):
+        rng = self.rng
+        n = table.n_features
+        i = int(rng.integers(n))
+        j = int(rng.integers(n))
+        op = ALL_OPERATIONS[int(rng.integers(len(ALL_OPERATIONS)))]
+        c1, c2 = FeatureGroup((i,)), FeatureGroup((j,))
+        if not op.is_binary:
+            generated = generate_unary(op, c1, c1, table, self.y, rng=rng, mi=self.mi)
+        elif i == j:
+            generated = []
+        else:
+            generated = cross_binary_topk(op, c1, c2, table, GenerationConfig(top_k_pairs=1), rng)
+        return c1, op, c2, generated
+
+    def learn(self, rewards: tuple[float, float, float]) -> tuple[float, float, float]:
+        return rewards
+
+
+def _search(dataset: Dataset, cfg: PipelineConfig, method: str, policy):
+    """Run ``cfg``'s step budget with ``policy``; returns (RunReport, BestFeatureSet).
+
+    ``policy(cfg, seeds, y, mi)`` gives an object whose ``choose(table, step)``
+    returns (c1, op, c2, generated) and whose ``learn(rewards)`` returns the
+    rewards it credited, which the step record keeps.
+    """
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(8).tolist()
+    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
+    original = FeatureTable.from_dataset(dataset)
+    y = dataset.target
+    mi = MIEngine(y)
+    policy = policy(cfg, seeds, y, mi)
+
+    report = RunReport(method=method, config_seed=cfg.seed)
+    report.baseline_score = downstream_performance(
+        original.values, y, dataset.task, cfg.model, split
+    )
+    best = BestFeatureSet(table=original, score=report.baseline_score, step=-1)
+    table = original
+
+    for epoch in range(cfg.epochs):
+        if cfg.reset_per_epoch and epoch > 0:
+            table = original
+        for step in range(cfg.steps_per_epoch):
+            global_step = epoch * cfg.steps_per_epoch + step
+            c1, op, c2, generated = policy.choose(table, global_step)
+
+            u_before = utility_u(table, y, mi=mi)
+            new_table = postprocess(table, generated, step=global_step)
+            u_after = utility_u(new_table, y, mi=mi)
+            v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
+            r1, r_op, r2 = policy.learn(compute_rewards(u_before, u_after, v_a))
+
+            if v_a > best.score:
+                best = BestFeatureSet(table=new_table, score=v_a, step=global_step)
+            table = size_control(new_table, original.n_features, y, cfg.generation, mi=mi)
+            report.steps.append(
+                {
+                    "epoch": epoch,
+                    "step": step,
+                    "group1": [new_table.names[i] for i in c1.indices],
+                    "operation": op.name.lower(),
+                    "group2": [new_table.names[i] for i in c2.indices],
+                    "r1": r1,
+                    "r_op": r_op,
+                    "r2": r2,
+                    "U_before": u_before,
+                    "U_after": u_after,
+                    "V_A": v_a,
+                    "feature_count": table.n_features,
+                }
+            )
+
+    _finish_report(report, best, dataset, cfg)
+    if cfg.out_dir:
+        _write_outputs(report, best, cfg.out_dir)
+    return report, best
 
 
 def run_grfg(dataset: Dataset, cfg: PipelineConfig):
     """Run the reinforced search; returns (RunReport, BestFeatureSet)."""
-    ss = np.random.SeedSequence(cfg.seed)
-    seeds = ss.generate_state(8).tolist()
-    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
-    original = FeatureTable.from_dataset(dataset)
-    d0 = original.n_features
-    y = dataset.target
-    mi = MIEngine(y)
-
-    enc_cfg = EncoderConfig(
-        ae_col_dim=cfg.encoder.ae_col_dim,
-        ae_row_dim=cfg.encoder.ae_row_dim,
-        gae_dim=cfg.encoder.gae_dim,
-        train_epochs=cfg.encoder.train_epochs,
-        incremental_epochs=cfg.encoder.incremental_epochs,
-        row_subsample_cap=cfg.encoder.row_subsample_cap,
-        seed=int(seeds[1]) % 2**31,
-    )
-    encoder = StateEncoder(cfg.state_method, enc_cfg)
-    width = encoder.length
-    n_ops = len(ALL_OPERATIONS)
-    op_candidates = tuple(rep_operation(i, n_ops) for i in range(n_ops))
-
-    def agent_cfg(i: int) -> AgentConfig:
-        return AgentConfig(
-            gamma=cfg.agent.gamma,
-            epsilon_start=cfg.agent.epsilon_start,
-            epsilon_min=cfg.agent.epsilon_min,
-            epsilon_decay=cfg.agent.epsilon_decay,
-            memory_capacity=cfg.agent.memory_capacity,
-            batch_size=cfg.agent.batch_size,
-            target_sync_every=cfg.agent.target_sync_every,
-            entropy_beta=cfg.agent.entropy_beta,
-            hidden=cfg.agent.hidden,
-            learning_rate=cfg.agent.learning_rate,
-            kind=cfg.agent.kind,
-            seed=int(seeds[2 + i]) % 2**31,
-        )
-
-    agent1 = CascadeAgent(width, width, agent_cfg(0))
-    agent_op = CascadeAgent(2 * width, n_ops, agent_cfg(1))
-    agent2 = CascadeAgent(2 * width + n_ops, width, agent_cfg(2))
-    gen_rng = np.random.default_rng(int(seeds[5]) % 2**31)
-
-    report = RunReport(method="grfg", config_seed=cfg.seed)
-    report.baseline_score = downstream_performance(
-        original.values, y, dataset.task, cfg.model, split
-    )
-    best = BestFeatureSet(table=original, score=report.baseline_score, step=-1)
-
-    table = original
-    pending: dict[str, _PendingTransition | None] = {"g1": None, "op": None, "g2": None}
-    global_step = 0
-    metric = "euclidean" if cfg.euclidean_distance else "relevance_redundancy"
-
-    for epoch in range(cfg.epochs):
-        if cfg.reset_per_epoch and epoch > 0:
-            table = original
-        for step in range(cfg.steps_per_epoch):
-            n = table.n_features
-            if cfg.no_cluster or n == 1:
-                partition = _singleton_partition(n)
-            else:
-                partition = m_cluster(
-                    table,
-                    y,
-                    stop_threshold=cfg.clustering.stop_threshold,
-                    epsilon=cfg.clustering.epsilon,
-                    metric=metric,
-                    mi=mi,
-                )
-            rep_f = encoder.encode(table.values, scope="set")
-            group_reps = tuple(
-                encoder.encode(table.values[:, list(g.indices)], scope="group")
-                for g in partition.groups
-            )
-            state1 = compose_state("group1", [rep_f])
-            if pending["g1"] is not None:
-                agent1.observe(pending["g1"].finalize(state1, group_reps))
-
-            eps = epsilon_at(global_step, agent1.cfg)
-            idx1, prob1 = agent1.select(state1, group_reps, eps)
-            c1 = partition.groups[idx1]
-
-            state_op = compose_state("operation", [rep_f, group_reps[idx1]])
-            if pending["op"] is not None:
-                agent_op.observe(pending["op"].finalize(state_op, op_candidates))
-            idx_op, prob_op = agent_op.select(state_op, op_candidates, eps)
-            op = ALL_OPERATIONS[idx_op]
-
-            state2 = compose_state(
-                "group2", [rep_f, group_reps[idx1], op_candidates[idx_op]]
-            )
-            if pending["g2"] is not None:
-                agent2.observe(pending["g2"].finalize(state2, group_reps))
-            idx2, prob2 = agent2.select(state2, group_reps, eps)
-            c2 = partition.groups[idx2]
-
-            if op.is_binary:
-                try:
-                    generated = cross_binary_topk(op, c1, c2, table, cfg.generation, gen_rng)
-                except ValueError:
-                    generated = []
-            else:
-                generated = generate_unary(op, c1, c2, table, y, cfg.generation, rng=gen_rng, mi=mi)
-
-            u_before = utility_u(table, y, mi=mi)
-            new_table = postprocess(table, generated, step=global_step)
-            u_after = utility_u(new_table, y, mi=mi)
-            v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
-            r1, r_op, r2 = compute_rewards(u_before, u_after, v_a)
-            if cfg.r1_delta:
-                r1 = r_op
-
-            pending["g1"] = _PendingTransition(state1, group_reps[idx1], idx1, group_reps, r1, prob1)
-            pending["op"] = _PendingTransition(state_op, op_candidates[idx_op], idx_op, op_candidates, r_op, prob_op)
-            pending["g2"] = _PendingTransition(state2, group_reps[idx2], idx2, group_reps, r2, prob2)
-
-            if v_a > best.score:
-                best = BestFeatureSet(table=new_table, score=v_a, step=global_step)
-
-            table = size_control(new_table, d0, y, cfg.generation, mi=mi)
-            report.steps.append(
-                {
-                    "epoch": epoch,
-                    "step": step,
-                    "group1": _group_names(new_table, c1),
-                    "operation": op.name.lower(),
-                    "group2": _group_names(new_table, c2),
-                    "r1": r1,
-                    "r_op": r_op,
-                    "r2": r2,
-                    "U_before": u_before,
-                    "U_after": u_after,
-                    "V_A": v_a,
-                    "feature_count": table.n_features,
-                }
-            )
-            global_step += 1
-
-    _finish_report(report, best, dataset, cfg)
-    if cfg.out_dir:
-        _write_outputs(report, best, cfg.out_dir)
-    return report, best
+    return _search(dataset, cfg, "grfg", _CascadePolicy)
 
 
 def run_rdg_baseline(dataset: Dataset, cfg: PipelineConfig):
     """Matched-budget random feature-operation-feature baseline."""
-    ss = np.random.SeedSequence(cfg.seed)
-    seeds = ss.generate_state(8).tolist()
-    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
-    rng = np.random.default_rng(int(seeds[6]) % 2**31)
-    original = FeatureTable.from_dataset(dataset)
-    d0 = original.n_features
-    y = dataset.target
-    mi = MIEngine(y)
-
-    report = RunReport(method="rdg", config_seed=cfg.seed)
-    report.baseline_score = downstream_performance(
-        original.values, y, dataset.task, cfg.model, split
-    )
-    best = BestFeatureSet(table=original, score=report.baseline_score, step=-1)
-    table = original
-    global_step = 0
-
-    for epoch in range(cfg.epochs):
-        if cfg.reset_per_epoch and epoch > 0:
-            table = original
-        for step in range(cfg.steps_per_epoch):
-            n = table.n_features
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            op = ALL_OPERATIONS[int(rng.integers(len(ALL_OPERATIONS)))]
-            c1 = FeatureGroup((i,))
-            c2 = FeatureGroup((j,))
-            if op.is_binary:
-                if i == j:
-                    generated = []
-                else:
-                    generated = cross_binary_topk(
-                        op, c1, c2, table, GenerationConfig(top_k_pairs=1), rng
-                    )
-            else:
-                generated = generate_unary(op, c1, c1, table, y, rng=rng, mi=mi)
-
-            u_before = utility_u(table, y, mi=mi)
-            new_table = postprocess(table, generated, step=global_step)
-            u_after = utility_u(new_table, y, mi=mi)
-            v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
-            r1, r_op, r2 = compute_rewards(u_before, u_after, v_a)
-
-            if v_a > best.score:
-                best = BestFeatureSet(table=new_table, score=v_a, step=global_step)
-            table = size_control(new_table, d0, y, cfg.generation, mi=mi)
-            report.steps.append(
-                {
-                    "epoch": epoch,
-                    "step": step,
-                    "group1": _group_names(new_table, c1),
-                    "operation": op.name.lower(),
-                    "group2": _group_names(new_table, c2),
-                    "r1": r1,
-                    "r_op": r_op,
-                    "r2": r2,
-                    "U_before": u_before,
-                    "U_after": u_after,
-                    "V_A": v_a,
-                    "feature_count": table.n_features,
-                }
-            )
-            global_step += 1
-
-    _finish_report(report, best, dataset, cfg)
-    if cfg.out_dir:
-        _write_outputs(report, best, cfg.out_dir)
-    return report, best
+    return _search(dataset, cfg, "rdg", _RandomPolicy)
 
 
 def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cfg: PipelineConfig):

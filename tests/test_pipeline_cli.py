@@ -2,12 +2,14 @@ import json
 import os
 
 import numpy as np
+import pipeline_reference
 import pytest
 
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
 from featforge.data_core import Dataset, Task, load_csv, make_split, save_csv
 from featforge.evaluator import ModelSpec, downstream_performance
+from featforge.generation import GenerationConfig
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import (
     BestFeatureSet,
@@ -295,3 +297,76 @@ class TestCli:
                 "--config", str(cfg_path),
             ]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "config_text, env_seed",
+        [
+            ("epochs=abc\n", None),
+            ("epochs=1\nsteps=1\n", "x"),
+            ("epochs=1\nsteps=1\nmodel.n_trees=0\n", None),
+            ("epochs=1\nsteps=1\nagent.kind=sarsa\n", None),
+        ],
+        ids=["epochs", "env_seed", "n_trees", "agent_kind"],
+    )
+    def test_malformed_config_value_usage_error(self, tmp_path, monkeypatch, capsys, config_text, env_seed):
+        path, _ = write_dataset_csv(tmp_path)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(config_text)
+        if env_seed is None:
+            monkeypatch.delenv("FEATFORGE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FEATFORGE_SEED", env_seed)
+        code = cli_main(
+            ["run", "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+
+
+ENGINE_VARIANTS = {
+    "dqn": {},
+    "ddqn_dueling": {"agent": AgentConfig(kind="ddqn_dueling")},
+    "actor_critic": {"agent": AgentConfig(kind="actor_critic")},
+    "ds+ae+gae": {"state_method": "ds+ae+gae"},
+    "no_cluster": {"no_cluster": True},
+    "euclidean_distance": {"euclidean_distance": True},
+    "random_unary+random_binary": {
+        "generation": GenerationConfig(random_unary=True, random_binary=True)
+    },
+    "reset_per_epoch": {"reset_per_epoch": True},
+    "r1_delta": {"r1_delta": True},
+}
+
+
+class TestOneStepEngine:
+    """Both methods through the one step engine equal the two separate loops they replace."""
+
+    @pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
+    @pytest.mark.parametrize("task", list(Task))
+    def test_matches_separate_loops(self, task, variant, tmp_path):
+        data = small_dataset(seed=2, m=48, task=task)
+        methods = (
+            (run_grfg, pipeline_reference.run_grfg),
+            (run_rdg_baseline, pipeline_reference.run_rdg_baseline),
+        )
+        for seed in (0, 7):
+            for run, reference in methods:
+                runs = []
+                for side, fn in (("engine", run), ("reference", reference)):
+                    out = tmp_path / f"{seed}-{run.__name__}-{side}"
+                    cfg = tiny_config(
+                        epochs=2, steps_per_epoch=2, seed=seed, out_dir=str(out),
+                        **ENGINE_VARIANTS[variant],
+                    )
+                    report, best = fn(data, cfg)
+                    files = {n: (out / n).read_bytes() for n in sorted(os.listdir(out))}
+                    runs.append((json.dumps(report.to_dict(), sort_keys=True), best.table, files))
+                (got, got_table, got_files), (want, want_table, want_files) = runs
+                assert got == want
+                assert np.array_equal(got_table.values, want_table.values)
+                assert got_table.exprs == want_table.exprs
+                assert got_table.created_at == want_table.created_at
+                assert got_files == want_files
+                assert sorted(got_files) == ["best_features.csv", "report.json", "trace.jsonl"]
