@@ -21,7 +21,7 @@ from featforge.agents import AgentConfig
 from featforge.data_core import DataError, Task, load_csv, make_split
 from featforge.evaluator import ModelSpec, evaluate_predictions, predict_test_side
 from featforge.generation import GenerationConfig
-from featforge.grouping import m_cluster
+from featforge.grouping import DEFAULT_EPSILON, m_cluster
 from featforge.operators import evaluate_expr
 from featforge.pipeline import ClusterConfig, PipelineConfig, run_grfg, run_rdg_baseline
 from featforge.state_rep import EncoderConfig
@@ -141,6 +141,14 @@ def _resolve_seed(args, file_cfg: dict) -> int:
 
 
 @_usage_errors
+def _cluster_config(args, file_cfg: dict) -> ClusterConfig:
+    return ClusterConfig(
+        stop_threshold=file_cfg.get("clustering.stop_threshold", "auto"),
+        epsilon=float(file_cfg.get("clustering.epsilon", DEFAULT_EPSILON)),
+    )
+
+
+@_usage_errors
 def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
     def get(key, default):
         return file_cfg.get(key, default)
@@ -185,10 +193,7 @@ def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
             random_unary=bool(get("ablation.random_unary", False)),
             random_binary=bool(get("ablation.random_binary", False)),
         ),
-        clustering=ClusterConfig(
-            stop_threshold=get("clustering.stop_threshold", "auto"),
-            epsilon=float(get("clustering.epsilon", 1e-6)),
-        ),
+        clustering=_cluster_config(args, file_cfg),
         model=ModelSpec(
             n_trees=int(get("model.n_trees", 10)),
             max_depth=int(get("model.max_depth", 8)),
@@ -237,12 +242,10 @@ def _cmd_baseline(args, file_cfg):
 
 
 def _cmd_cluster(args, file_cfg):
+    cfg = _cluster_config(args, file_cfg)
     dataset = _load(args)
     partition = m_cluster(
-        dataset.samples,
-        dataset.target,
-        stop_threshold=file_cfg.get("clustering.stop_threshold", "auto"),
-        epsilon=float(file_cfg.get("clustering.epsilon", 1e-6)),
+        dataset.samples, dataset.target, stop_threshold=cfg.stop_threshold, epsilon=cfg.epsilon
     )
     groups = [
         [dataset.feature_names[i] for i in g.indices] for g in partition.groups

@@ -132,18 +132,6 @@ def load_csv(path, target_column: str, task: Task) -> Dataset:
     return Dataset(samples=samples, feature_names=names, target=target, task=task)
 
 
-def save_csv(dataset: Dataset, path, target_column: str = "target") -> None:
-    """Write a Dataset back to CSV (features then target); round-trips to 1e-12."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [target_column])
-        for i in range(dataset.n_rows):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.samples[i]]
-                + [repr(float(dataset.target[i]))]
-            )
-
-
 def _stratified_assignment(target: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Assign each row a fold id 0..k-1 with per-class proportions preserved."""
     m = len(target)

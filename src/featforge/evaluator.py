@@ -296,22 +296,28 @@ def knn_anomaly_scores(train_X, test_X, k: int = 5) -> np.ndarray:
 # ------------------------------------------------------------------- metrics
 
 
-def metric_f1(pred, truth) -> float:
-    """Macro-averaged F1 over the classes present in the truth vector."""
+def _per_class_scores(pred, truth) -> tuple[list, list, list]:
+    """F1, precision and recall of each class present in the truth vector."""
     pred = np.asarray(pred, dtype=int)
     truth = np.asarray(truth, dtype=int)
     if len(pred) != len(truth):
         raise ValueError("length mismatch")
-    classes = np.unique(truth)
-    f1s = []
-    for c in classes:
+    f1s, precisions, recalls = [], [], []
+    for c in np.unique(truth):
         tp = np.sum((pred == c) & (truth == c))
         fp = np.sum((pred == c) & (truth != c))
         fn = np.sum((pred != c) & (truth == c))
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1s.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
-    return float(np.mean(f1s))
+        precisions.append(precision)
+        recalls.append(recall)
+    return f1s, precisions, recalls
+
+
+def metric_f1(pred, truth) -> float:
+    """Macro-averaged F1 over the classes present in the truth vector."""
+    return float(np.mean(_per_class_scores(pred, truth)[0]))
 
 
 def metric_1rae(pred, truth) -> float:
@@ -338,15 +344,14 @@ def metric_auc(scores, truth) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined for single-class truth")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of tied scores spans sorted positions i..j and shares rank (i+j)/2 + 1
+    starts = np.r_[True, sorted_scores[1:] != sorted_scores[:-1]]
+    run = np.cumsum(starts) - 1
+    i = np.flatnonzero(starts)
+    j = np.r_[i[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = 0.5 * (i[run] + j[run]) + 1.0
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
@@ -356,15 +361,8 @@ def evaluate_predictions(pred_or_scores, truth, task: Task) -> EvalResult:
     if task is Task.CLASSIFICATION:
         pred = np.asarray(pred_or_scores)
         truth_i = np.asarray(truth, dtype=int)
-        f1 = metric_f1(pred, truth_i)
-        classes = np.unique(truth_i)
-        precs, recs = [], []
-        for c in classes:
-            tp = np.sum((pred == c) & (truth_i == c))
-            fp = np.sum((pred == c) & (truth_i != c))
-            fn = np.sum((pred != c) & (truth_i == c))
-            precs.append(tp / (tp + fp) if tp + fp > 0 else 0.0)
-            recs.append(tp / (tp + fn) if tp + fn > 0 else 0.0)
+        f1s, precs, recs = _per_class_scores(pred, truth_i)
+        f1 = float(np.mean(f1s))
         return EvalResult(
             primary_metric=f1,
             auxiliary={
@@ -392,6 +390,13 @@ def evaluate_predictions(pred_or_scores, truth, task: Task) -> EvalResult:
         )
     auc = metric_auc(pred_or_scores, truth)
     return EvalResult(primary_metric=auc, auxiliary={"roc_auc": auc})
+
+
+_PRIMARY_METRIC = {
+    Task.CLASSIFICATION: metric_f1,
+    Task.REGRESSION: metric_1rae,
+    Task.OUTLIER_DETECTION: metric_auc,
+}
 
 
 def predict_test_side(features, target, task: Task, spec: ModelSpec, split: SplitPlan) -> np.ndarray:
@@ -422,5 +427,5 @@ def downstream_performance(
     """
     pred = predict_test_side(features, target, task, spec, split)
     truth = np.asarray(target, dtype=float)[split.test_indices]
-    score = evaluate_predictions(pred, truth, task).primary_metric
+    score = _PRIMARY_METRIC[task](pred, truth)
     return max(0.0, score) if task is Task.REGRESSION else score

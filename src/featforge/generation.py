@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from featforge.grouping import FeatureGroup, group_relevance
-from featforge.measures import BinningSpec, DEFAULT_BINS, MIEngine, cosine_similarity, named_columns
+from featforge.measures import MIEngine, cosine_similarity, named_columns
 from featforge.operators import (
     FeatureExpr,
     OperationKind,
@@ -72,7 +72,6 @@ class FeatureTable:
 class GenerationConfig:
     top_k_pairs: "int | str" = "auto"   # auto = min(|c1|, |c2|, 8)
     size_tolerance_factor: float = 2.0
-    dedup: bool = True
     random_unary: bool = False   # ablation: pick the group uniformly at random
     random_binary: bool = False  # ablation: pick pairs uniformly at random
 
@@ -136,7 +135,6 @@ def generate_unary(
     current: FeatureTable,
     target,
     cfg: GenerationConfig = GenerationConfig(),
-    spec: BinningSpec = DEFAULT_BINS,
     rng: np.random.Generator | None = None,
     mi: MIEngine | None = None,
 ) -> list[tuple[FeatureExpr, np.ndarray]]:
@@ -148,8 +146,8 @@ def generate_unary(
             rng = np.random.default_rng(0)
         group = c1 if rng.integers(2) == 0 else c2
     else:
-        rel1 = group_relevance(c1, current, target, spec, mi=mi)
-        rel2 = group_relevance(c2, current, target, spec, mi=mi)
+        rel1 = group_relevance(c1, current, target, mi=mi)
+        rel2 = group_relevance(c2, current, target, mi=mi)
         group = c1 if rel1 >= rel2 else c2
     out = []
     for i in group.indices:
@@ -192,20 +190,14 @@ def postprocess(
     )
 
 
-def kbest_select(
-    features: FeatureTable,
-    target,
-    k: int,
-    spec: BinningSpec = DEFAULT_BINS,
-    mi: MIEngine | None = None,
-) -> FeatureTable:
+def kbest_select(features: FeatureTable, target, k: int, mi: MIEngine | None = None) -> FeatureTable:
     """Keep the k columns with highest MI(f, y); ties keep the lower index."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = features.n_features
     if k >= n:
         return features
-    mi, names, values = named_columns(features, target, spec, mi)
+    mi, names, values = named_columns(features, target, mi)
     scores = mi.target_mi(names, values)
     # stable selection: sort by (-score, index)
     order = sorted(range(n), key=lambda i: (-scores[i], i))
@@ -222,7 +214,6 @@ def size_control(
     original_count: int,
     target,
     cfg: GenerationConfig = GenerationConfig(),
-    spec: BinningSpec = DEFAULT_BINS,
     mi: MIEngine | None = None,
 ) -> FeatureTable:
     """Cap the table at floor(tolerance_factor * original_count) columns."""
@@ -230,5 +221,5 @@ def size_control(
         raise ValueError("original_count must be >= 1")
     cap = int(np.floor(cfg.size_tolerance_factor * original_count))
     if features.n_features > cap:
-        return kbest_select(features, target, cap, spec, mi=mi)
+        return kbest_select(features, target, cap, mi=mi)
     return features

@@ -7,17 +7,11 @@ cascading agents need two selectable groups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from featforge.measures import (
-    BinningSpec,
-    DEFAULT_BINS,
-    MIEngine,
-    mutual_information,
-    named_columns,
-)
+from featforge.measures import MIEngine, named_columns
 
 DEFAULT_EPSILON = 1e-6
 
@@ -53,25 +47,15 @@ class GroupPartition:
 
 
 def group_distance(
-    c1: FeatureGroup,
-    c2: FeatureGroup,
-    features,
-    target,
-    epsilon: float = DEFAULT_EPSILON,
-    spec: BinningSpec = DEFAULT_BINS,
+    c1: FeatureGroup, c2: FeatureGroup, features, target, epsilon: float = DEFAULT_EPSILON
 ) -> float:
     """Mean over cross pairs of |MI(f_i,y) - MI(f_j,y)| / (MI(f_i,f_j) + eps)."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    features = np.asarray(features, dtype=float)
-    total = 0.0
-    for i in c1.indices:
-        for j in c2.indices:
-            rel_i = mutual_information(features[:, i], target, spec)
-            rel_j = mutual_information(features[:, j], target, spec)
-            red = mutual_information(features[:, i], features[:, j], spec)
-            total += abs(rel_i - rel_j) / (red + epsilon)
-    return total / (len(c1) * len(c2))
+    mi, names, values = named_columns(features, target, None)
+    return _distance_from_tables(
+        c1.indices, c2.indices, mi.pair_mi(names, values), mi.target_mi(names, values), epsilon
+    )
 
 
 def _distance_from_tables(
@@ -81,6 +65,7 @@ def _distance_from_tables(
     target_mi: np.ndarray,
     epsilon: float,
 ) -> float:
+    """The group distance read from tables of pairwise and target MI."""
     rel_diff = np.abs(target_mi[np.array(g1)][:, None] - target_mi[np.array(g2)][None, :])
     red = pair_mi[np.ix_(g1, g2)]
     return float(np.mean(rel_diff / (red + epsilon)))
@@ -98,7 +83,6 @@ def m_cluster(
     target,
     stop_threshold="auto",
     epsilon: float = DEFAULT_EPSILON,
-    spec: BinningSpec = DEFAULT_BINS,
     metric: str = "relevance_redundancy",
     mi: MIEngine | None = None,
 ) -> GroupPartition:
@@ -114,7 +98,7 @@ def m_cluster(
     holds the distance between the groups whose smallest members are a < b and
     +inf elsewhere, so the first row-major minimum is the tie-break's pair.
     """
-    mi, names, values = named_columns(features, target, spec, mi)
+    mi, names, values = named_columns(features, target, mi)
     n = values.shape[1]
     if n == 1:
         return GroupPartition(
@@ -168,14 +152,8 @@ def m_cluster(
     )
 
 
-def group_relevance(
-    c: FeatureGroup,
-    features,
-    target,
-    spec: BinningSpec = DEFAULT_BINS,
-    mi: MIEngine | None = None,
-) -> float:
+def group_relevance(c: FeatureGroup, features, target, mi: MIEngine | None = None) -> float:
     """Mean MI between the group's features and the target."""
-    mi, names, values = named_columns(features, target, spec, mi)
+    mi, names, values = named_columns(features, target, mi)
     idx = list(c.indices)
     return float(np.mean(mi.target_mi([names[i] for i in idx], values[:, idx])))

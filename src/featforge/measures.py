@@ -1,11 +1,13 @@
 """Information-theoretic and statistical kernels.
 
 All quantities are in nats.  Mutual information is a plug-in estimate over
-equal-frequency discretized joint counts; the bin count is
-min(max_bins, max(2, floor(sqrt(m)))).  All MI comes from one engine,
-:class:`MIEngine`: a run creates one for its target, which bins each column
-once and caches target and pairwise MI by column expression; a call made
-without one builds a throwaway engine.  Every other function here is pure.
+discretized joint counts with a fixed binning: a column with at most
+``N_BINS`` (16) distinct values keeps one bin per value, and any other column
+is cut into min(16, max(2, floor(sqrt(m)))) equal-frequency bins.  All MI
+comes from one engine, :class:`MIEngine`: a run creates one for its target,
+which bins each column once and caches target and pairwise MI by column
+expression; a call made without one builds a throwaway engine.  Every other
+function here is pure.
 """
 
 from __future__ import annotations
@@ -15,18 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _NEG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BinningSpec:
-    max_bins: int = 16
-
-    def __post_init__(self):
-        if self.max_bins < 2:
-            raise ValueError("max_bins must be >= 2")
-
-
-DEFAULT_BINS = BinningSpec()
+N_BINS = 16  # the most bins a column is cut into
 
 
 @dataclass(frozen=True)
@@ -54,10 +45,10 @@ def _check_vector(x, name="x") -> np.ndarray:
     return x.ravel()
 
 
-def discretize(x, spec: BinningSpec = DEFAULT_BINS) -> np.ndarray:
+def discretize(x) -> np.ndarray:
     """Map a finite real vector to integer bin labels.
 
-    Vectors with <= max_bins distinct values keep one label per distinct value
+    Vectors with <= N_BINS distinct values keep one label per distinct value
     (ranked).  Otherwise equal-frequency binning is used; a value equal to a
     bin boundary goes to the lower bin.  NaN or infinite values raise.
     """
@@ -65,16 +56,16 @@ def discretize(x, spec: BinningSpec = DEFAULT_BINS) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("cannot discretize non-finite values")
     distinct = np.unique(x)
-    if len(distinct) <= spec.max_bins:
+    if len(distinct) <= N_BINS:
         return np.searchsorted(distinct, x)
-    n_bins = min(spec.max_bins, max(2, int(np.floor(np.sqrt(len(x))))))
+    n_bins = min(N_BINS, max(2, int(np.floor(np.sqrt(len(x))))))
     edges = np.quantile(x, np.arange(1, n_bins) / n_bins)
     return np.searchsorted(edges, x, side="left")
 
 
-def entropy(x, spec: BinningSpec = DEFAULT_BINS) -> float:
+def entropy(x) -> float:
     """Plug-in Shannon entropy (nats) over discretized counts."""
-    labels = discretize(x, spec)
+    labels = discretize(x)
     _, counts = np.unique(labels, return_counts=True)
     p = counts / counts.sum()
     return float(-np.sum(p * np.log(p)))
@@ -96,7 +87,7 @@ def _mi_from_labels(lx: np.ndarray, ly: np.ndarray) -> float:
     return mi
 
 
-def mutual_information(x, y, spec: BinningSpec = DEFAULT_BINS) -> float:
+def mutual_information(x, y) -> float:
     """Plug-in mutual information (nats) between two real vectors."""
     x = _check_vector(x)
     y = _check_vector(y, "y")
@@ -104,10 +95,11 @@ def mutual_information(x, y, spec: BinningSpec = DEFAULT_BINS) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("need at least 2 samples")
-    return _mi_from_labels(discretize(x, spec), discretize(y, spec))
+    return _mi_from_labels(discretize(x), discretize(y))
 
 
 _TARGET = object()  # the engine's key for its target column
+_LABEL_DTYPE = np.min_scalar_type(N_BINS - 1)  # labels are below N_BINS
 
 
 class MIEngine:
@@ -119,18 +111,15 @@ class MIEngine:
     pairs are always read in table order, with the target last.
     """
 
-    def __init__(self, target, spec: BinningSpec = DEFAULT_BINS):
+    def __init__(self, target):
         self.target = _check_vector(target, "target")
-        self.spec = spec
-        # labels are below max_bins, so they are kept in the smallest integer type
-        self._label_dtype = np.min_scalar_type(spec.max_bins - 1)
-        self._labels: dict = {_TARGET: discretize(self.target, spec).astype(self._label_dtype)}
+        self._labels: dict = {_TARGET: discretize(self.target).astype(_LABEL_DTYPE)}
         self._mi: dict = {}
 
     def _column_labels(self, name, values: np.ndarray, i) -> np.ndarray:
         labels = self._labels.get(name)
         if labels is None:
-            labels = discretize(values[:, i], self.spec).astype(self._label_dtype)
+            labels = discretize(values[:, i]).astype(_LABEL_DTYPE)
             self._labels[name] = labels
         return labels
 
@@ -156,7 +145,7 @@ class MIEngine:
         return pair
 
 
-def named_columns(features, target, spec: BinningSpec, mi: MIEngine | None):
+def named_columns(features, target, mi: MIEngine | None):
     """(engine, column names, m x n values) for an array or a FeatureTable.
 
     Columns of a plain array are named by position, so only the throwaway
@@ -173,31 +162,24 @@ def named_columns(features, target, spec: BinningSpec, mi: MIEngine | None):
     if values.shape[0] != len(target):
         raise ValueError("feature rows must match target length")
     if mi is None:
-        mi = MIEngine(target, spec)
+        mi = MIEngine(target)
     elif names is None:
         raise ValueError("a shared MIEngine needs named columns (a FeatureTable)")
-    elif mi.spec != spec or not np.array_equal(mi.target, target):
-        raise ValueError("the MIEngine was built for another target or binning")
+    elif not np.array_equal(mi.target, target):
+        raise ValueError("the MIEngine was built for another target")
     if names is None:
         names = range(values.shape[1])
     return mi, tuple(names), values
 
 
-def utility_u(
-    features,
-    target,
-    spec: BinningSpec = DEFAULT_BINS,
-    include_self_redundancy: bool = True,
-    mi: MIEngine | None = None,
-) -> float:
+def utility_u(features, target, mi: MIEngine | None = None) -> float:
     """Feature-set utility: mean target relevance minus mean pairwise redundancy.
 
-    U = -(1/n^2) * sum_{i,j} MI(f_i, f_j) + (1/n) * sum_i MI(f_i, y).
-    The redundancy double sum includes i=j by default; set
-    ``include_self_redundancy=False`` to drop the diagonal.  ``features`` is an
-    m x n array or a FeatureTable; ``mi`` is the run's engine.
+    U = -(1/n^2) * sum_{i,j} MI(f_i, f_j) + (1/n) * sum_i MI(f_i, y), where
+    the redundancy double sum includes i=j.  ``features`` is an m x n array or
+    a FeatureTable; ``mi`` is the run's engine.
     """
-    mi, names, values = named_columns(features, target, spec, mi)
+    mi, names, values = named_columns(features, target, mi)
     m, n = values.shape
     if m < 2:
         raise ValueError("need at least 2 samples")
@@ -206,20 +188,10 @@ def utility_u(
     # sequential sum in row-major order over the upper triangle
     redundancy = 0.0
     for i in range(n):
-        if include_self_redundancy:
-            redundancy += pair[i][i]
+        redundancy += pair[i][i]
         for j in range(i + 1, n):
             redundancy += 2.0 * pair[i][j]
     return float(-redundancy / n**2 + mi_y.mean())
-
-
-def mi_matrix(features, target, spec: BinningSpec = DEFAULT_BINS, mi: MIEngine | None = None):
-    """All pairwise MI(f_i, f_j) plus MI(f_i, y).
-
-    Returns (pair_mi: n x n symmetric matrix, target_mi: length-n vector).
-    """
-    mi, names, values = named_columns(features, target, spec, mi)
-    return mi.pair_mi(names, values), mi.target_mi(names, values)
 
 
 def cosine_similarity(x, y) -> float:

@@ -51,9 +51,6 @@ class DenseNet:
         self.weights = [w.copy() for w in other.weights]
         self.biases = [b.copy() for b in other.biases]
 
-    def parameters(self) -> list[np.ndarray]:
-        return self.weights + self.biases
-
 
 def init_net(layer_sizes, activations, seed: int) -> DenseNet:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""

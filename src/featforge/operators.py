@@ -66,22 +66,8 @@ _BINARY = frozenset(
     }
 )
 
-ALL_OPERATIONS: tuple[OperationKind, ...] = (
-    OperationKind.SQRT,
-    OperationKind.SQUARE,
-    OperationKind.COSINE,
-    OperationKind.SINE,
-    OperationKind.TANGENT,
-    OperationKind.EXP,
-    OperationKind.CUBE,
-    OperationKind.LOG,
-    OperationKind.RECIPROCAL,
-    OperationKind.SIGMOID,
-    OperationKind.PLUS,
-    OperationKind.SUBTRACT,
-    OperationKind.MULTIPLY,
-    OperationKind.DIVIDE,
-)
+# the agents' operation index is the declaration order
+ALL_OPERATIONS: tuple[OperationKind, ...] = tuple(OperationKind)
 
 COMMUTATIVE = frozenset({OperationKind.PLUS, OperationKind.MULTIPLY})
 
@@ -187,19 +173,7 @@ def expr_to_string(e: FeatureExpr) -> str:
     if e.is_leaf:
         return e.name
     if e.op.is_unary:
-        name = {
-            OperationKind.SQRT: "sqrt",
-            OperationKind.SQUARE: "square",
-            OperationKind.COSINE: "cos",
-            OperationKind.SINE: "sin",
-            OperationKind.TANGENT: "tan",
-            OperationKind.EXP: "exp",
-            OperationKind.CUBE: "cube",
-            OperationKind.LOG: "log",
-            OperationKind.RECIPROCAL: "reciprocal",
-            OperationKind.SIGMOID: "sigmoid",
-        }[e.op]
-        return f"{name}({expr_to_string(e.left)})"
+        return f"{e.op.value}({expr_to_string(e.left)})"
     return f"({expr_to_string(e.left)}{e.op.value}{expr_to_string(e.right)})"
 
 
@@ -222,24 +196,13 @@ def evaluate_expr(e: FeatureExpr, original) -> np.ndarray:
     return rec(e)
 
 
-_UNARY_NAMES = {
-    "sqrt": OperationKind.SQRT,
-    "square": OperationKind.SQUARE,
-    "cos": OperationKind.COSINE,
-    "sin": OperationKind.SINE,
-    "tan": OperationKind.TANGENT,
-    "exp": OperationKind.EXP,
-    "cube": OperationKind.CUBE,
-    "log": OperationKind.LOG,
-    "reciprocal": OperationKind.RECIPROCAL,
-    "sigmoid": OperationKind.SIGMOID,
-}
-_BINARY_SYMBOLS = {
-    "+": OperationKind.PLUS,
-    "-": OperationKind.SUBTRACT,
-    "*": OperationKind.MULTIPLY,
-    "/": OperationKind.DIVIDE,
-}
+def _operation(token: str, binary: bool) -> OperationKind | None:
+    """The operation of the given arity that renders as ``token``, else None."""
+    try:
+        op = OperationKind(token)
+    except ValueError:
+        return None
+    return op if op.is_binary is binary else None
 
 
 def parse_expression(text: str) -> FeatureExpr:
@@ -255,15 +218,16 @@ def parse_expression(text: str) -> FeatureExpr:
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            elif depth == 0 and ch in _BINARY_SYMBOLS and i > 0:
+            elif depth == 0 and i > 0 and (op := _operation(ch, binary=True)):
                 left = parse_expression(inner[:i])
                 right = parse_expression(inner[i + 1 :])
-                return FeatureExpr.binary(_BINARY_SYMBOLS[ch], left, right)
+                return FeatureExpr.binary(op, left, right)
         raise ValueError(f"no top-level binary operator in {text!r}")
     if text.endswith(")"):
         head, _, rest = text.partition("(")
-        if head in _UNARY_NAMES:
-            return FeatureExpr.unary(_UNARY_NAMES[head], parse_expression(rest[:-1]))
+        op = _operation(head, binary=False)
+        if op is not None:
+            return FeatureExpr.unary(op, parse_expression(rest[:-1]))
         raise ValueError(f"unknown unary operation {head!r}")
     return FeatureExpr.leaf(text)
 

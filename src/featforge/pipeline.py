@@ -11,6 +11,7 @@ step records by construction.  Also exports the traceable best feature set.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -38,6 +39,12 @@ from featforge.state_rep import EncoderConfig, StateEncoder, compose_state, rep_
 class ClusterConfig:
     stop_threshold: "float | str" = "auto"
     epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self):
+        if self.stop_threshold != "auto" and not isinstance(self.stop_threshold, numbers.Real):
+            raise ValueError(f"stop_threshold must be 'auto' or a number, got {self.stop_threshold!r}")
+        if not self.epsilon > 0:
+            raise ValueError(f"clustering epsilon must be > 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

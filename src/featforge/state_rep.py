@@ -167,12 +167,6 @@ class AutoencoderEncoder:
         adam_update(self._params, grads, self._adam)
         return loss
 
-    def reconstruction_loss(self, features) -> float:
-        f = self._prepare(np.asarray(features, dtype=float))
-        if self._shape != f.shape:
-            raise ValueError("encoder not built for this shape")
-        return mse(self._forward(f)[-1], f)
-
     def _prepare(self, features: np.ndarray) -> np.ndarray:
         if features.ndim == 1:
             features = features[:, None]
@@ -240,12 +234,6 @@ class GraphAutoencoderEncoder:
         loss, g_w = self._gradients(msg, a)
         adam_update([self._w], [g_w], self._adam)
         return loss
-
-    def reconstruction_loss(self, features) -> float:
-        features = np.asarray(features, dtype=float)
-        a = self.adjacency(features)
-        msg = self._message_matrix(features, a)
-        return bce(self._forward(msg)[2], a)
 
     @staticmethod
     def _message_matrix(features: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -333,15 +321,3 @@ def _fit_length(vec: np.ndarray, length: int) -> np.ndarray:
             out[: len(chunk)] += chunk
         return out
     return np.pad(vec, (0, length - len(vec)))
-
-
-def rep_ae(features, cfg: EncoderConfig | None = None, encoder=None) -> StateVector:
-    """One-shot autoencoder representation (convenience wrapper)."""
-    enc = encoder or AutoencoderEncoder(cfg or EncoderConfig())
-    return enc.encode(features)
-
-
-def rep_gae(features, cfg: EncoderConfig | None = None, encoder=None) -> StateVector:
-    """One-shot graph-autoencoder representation (convenience wrapper)."""
-    enc = encoder or GraphAutoencoderEncoder(cfg or EncoderConfig())
-    return enc.encode(features)

@@ -12,13 +12,24 @@ seeded search to give the same report with either.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from featforge.grouping import FeatureGroup, GroupPartition, DEFAULT_EPSILON
 from featforge.generation import FeatureTable
-from featforge.measures import BinningSpec, DEFAULT_BINS
 
 _NEG_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class BinningSpec:
+    """The binning featforge's MI took as a parameter; it now fixes 16 bins."""
+
+    max_bins: int = 16
+
+
+DEFAULT_BINS = BinningSpec()
 
 
 def _check_vector(x, name="x") -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from csv_writer import save_csv
 
 from featforge.data_core import (
     DataError,
@@ -8,7 +9,6 @@ from featforge.data_core import (
     load_csv,
     make_folds,
     make_split,
-    save_csv,
 )
 
 

@@ -396,6 +396,26 @@ def brute_force_macro_f1(pred, truth):
     return float(np.mean(f1s))
 
 
+def loop_auc(scores, truth):
+    """ROC-AUC with the tied-rank loop metric_auc used before it was vectorized."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(truth, dtype=float) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
 class TestMetrics:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -438,6 +458,15 @@ class TestMetrics:
         assert abs(metric_auc(3.0 * scores + 7.0, truth) - base) < 1e-12
         assert abs(metric_auc(np.exp(scores), truth) - base) < 1e-12
 
+    def test_auc_matches_tied_rank_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            m = int(rng.integers(2, 80))
+            truth = rng.permutation(np.r_[0, 1, rng.integers(0, 2, size=m - 2)])
+            # few distinct values give long runs of ties; many give none
+            scores = rng.integers(0, int(rng.integers(1, m + 1)), size=m) * 0.25
+            assert metric_auc(scores, truth) == loop_auc(scores, truth)
+
     def test_auc_single_class_rejected(self):
         with pytest.raises(ValueError):
             metric_auc([0.1, 0.2], [1, 1])
@@ -450,6 +479,9 @@ class TestEvaluatePredictions:
         res = evaluate_predictions(pred, truth, Task.CLASSIFICATION)
         assert res.primary_metric == metric_f1(pred, truth)
         assert res.auxiliary["accuracy"] == 0.75
+        # class 0: precision 2/3, recall 1; class 1: precision 1, recall 1/2
+        assert res.auxiliary["precision_macro"] == pytest.approx(5 / 6, abs=1e-15)
+        assert res.auxiliary["recall_macro"] == 0.75
 
     def test_regression_bundle(self):
         truth = np.array([1.0, 2.0, 3.0])

@@ -66,16 +66,17 @@ class TestGroupDistance:
         assert d12 >= 0.0
         assert abs(d12 - d21) < 1e-12
 
-    def test_matches_table_variant(self):
-        from featforge.measures import mi_matrix
-
+    def test_matches_per_pair_formula(self):
         features, target = random_problem(7)
-        pair, rel = mi_matrix(features, target)
         c1 = FeatureGroup((0, 2))
         c2 = FeatureGroup((1, 4))
-        direct = group_distance(c1, c2, features, target)
-        tabled = _distance_from_tables(c1.indices, c2.indices, pair, rel, 1e-6)
-        assert abs(direct - tabled) < 1e-12
+        per_pair = [
+            abs(mutual_information(features[:, i], target) - mutual_information(features[:, j], target))
+            / (mutual_information(features[:, i], features[:, j]) + 1e-6)
+            for i in c1.indices
+            for j in c2.indices
+        ]
+        assert abs(group_distance(c1, c2, features, target) - np.mean(per_pair)) < 1e-12
 
     def test_bad_epsilon(self):
         features, target = random_problem(1)

@@ -11,13 +11,11 @@ from featforge.data_core import Dataset, Task
 from featforge.generation import FeatureTable
 from featforge.grouping import FeatureGroup, group_relevance, m_cluster
 from featforge.measures import (
-    BinningSpec,
     MIEngine,
     cosine_similarity,
     descriptive_stats,
     discretize,
     entropy,
-    mi_matrix,
     mutual_information,
     pearson_abs,
     utility_u,
@@ -50,21 +48,20 @@ class TestDiscretize:
     def test_rank_mapping(self):
         assert np.array_equal(discretize([30, 10, 20]), [2, 0, 1])
 
-    def test_equal_frequency_100_uniform(self):
+    def test_equal_frequency_256_uniform(self):
         rng = np.random.default_rng(42)
-        x = rng.uniform(size=100)
-        labels = discretize(x, BinningSpec(max_bins=4))
+        x = rng.uniform(size=256)
+        labels = discretize(x)
         _, counts = np.unique(labels, return_counts=True)
-        assert np.array_equal(counts, [25, 25, 25, 25])
+        assert np.array_equal(counts, [16] * 16)
 
     def test_boundary_goes_to_lower_bin(self):
-        x = np.concatenate([np.arange(100, dtype=float), [74.0]])
-        spec = BinningSpec(max_bins=4)
-        labels = discretize(x, spec)
-        edges = np.quantile(x, [0.25, 0.5, 0.75])
-        on_edge = np.flatnonzero(x == edges[2])
+        x = np.concatenate([np.arange(256, dtype=float), [191.0]])
+        labels = discretize(x)
+        edges = np.quantile(x, np.arange(1, 16) / 16)
+        on_edge = np.flatnonzero(x == edges[11])
         assert len(on_edge) > 0
-        assert np.all(labels[on_edge] == 2)
+        assert np.all(labels[on_edge] == 11)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -175,12 +172,6 @@ class TestUtilityU:
         single = utility_u(f[:, None], y)
         doubled = utility_u(np.column_stack([f, f]), y)
         assert abs(doubled - single) < 1e-12
-        # With the diagonal excluded it is a strict penalty.
-        single_x = utility_u(f[:, None], y, include_self_redundancy=False)
-        doubled_x = utility_u(
-            np.column_stack([f, f]), y, include_self_redundancy=False
-        )
-        assert doubled_x < single_x
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -189,17 +180,6 @@ class TestUtilityU:
         features = rng.normal(size=(30, 3))
         target = rng.normal(size=30)
         assert abs(utility_u(features, target) - brute_force_utility(features, target)) < 1e-12
-
-    def test_exclude_self_redundancy_switch(self):
-        rng = np.random.default_rng(4)
-        features = rng.normal(size=(40, 2))
-        target = rng.normal(size=40)
-        with_diag = utility_u(features, target)
-        without = utility_u(features, target, include_self_redundancy=False)
-        diag = sum(
-            mutual_information(features[:, i], features[:, i]) for i in range(2)
-        )
-        assert abs((without - with_diag) - diag / 4) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -219,7 +199,8 @@ class TestMiMatrix:
         rng = np.random.default_rng(5)
         features = rng.normal(size=(40, 4))
         target = rng.normal(size=40)
-        pair, rel = mi_matrix(features, target)
+        mi = MIEngine(target)
+        pair, rel = mi.pair_mi(range(4), features), mi.target_mi(range(4), features)
         for i in range(4):
             for j in range(4):
                 direct = mutual_information(features[:, i], features[:, j])
@@ -229,7 +210,7 @@ class TestMiMatrix:
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="need at least one feature column"):
-            mi_matrix(np.empty((5, 0)), np.arange(5.0))
+            m_cluster(np.empty((5, 0)), np.arange(5.0))
 
 
 def named_table(values, names):
@@ -249,7 +230,7 @@ class TestMIEngine:
         calls = []
         monkeypatch.setattr(measures, "discretize", lambda *a: calls.append(a))
         assert utility_u(table, target, mi=mi) == first
-        assert mi_matrix(table, target, mi=mi)[1].tolist() == relevance
+        assert mi.target_mi(table.names, table.values).tolist() == relevance
         assert calls == []
 
     def test_pairs_keep_table_order(self):
@@ -257,8 +238,8 @@ class TestMIEngine:
         values = np.round(rng.normal(size=(60, 2)), 1)
         target = rng.normal(size=60)
         mi = MIEngine(target)
-        forward = mi_matrix(named_table(values, ("a", "b")), target, mi=mi)[0]
-        backward = mi_matrix(named_table(values[:, ::-1], ("b", "a")), target, mi=mi)[0]
+        forward = mi.pair_mi(("a", "b"), values)
+        backward = mi.pair_mi(("b", "a"), values[:, ::-1])
         assert forward[0, 1] == mutual_information(values[:, 0], values[:, 1])
         assert backward[0, 1] == mutual_information(values[:, 1], values[:, 0])
 
@@ -271,10 +252,6 @@ class TestMIEngine:
         table = named_table(np.ones((10, 1)), ("a",))
         with pytest.raises(ValueError, match="another target"):
             utility_u(table, np.arange(10.0), mi=MIEngine(np.arange(10.0)[::-1]))
-        with pytest.raises(ValueError, match="another target"):
-            utility_u(
-                table, np.arange(10.0), mi=MIEngine(np.arange(10.0), BinningSpec(4))
-            )
 
     def test_search_bins_each_column_once(self, monkeypatch):
         data = merging_fixture()
@@ -283,9 +260,9 @@ class TestMIEngine:
         binned = measures.discretize
         merge = pipeline.postprocess
 
-        def counting(x, spec=measures.DEFAULT_BINS):
+        def counting(x):
             calls.append(1)
-            return binned(x, spec)
+            return binned(x)
 
         def collecting(existing, generated, step=0):
             out = merge(existing, generated, step)
@@ -332,11 +309,9 @@ class TestExactMI:
                 y = rng.integers(0, 3, size=m).astype(float)
             else:
                 y = rng.normal(size=m)
-            diag = trial % 8 < 4
-            assert utility_u(X, y, include_self_redundancy=diag) == mi_reference.utility_u(
-                X, y, include_self_redundancy=diag
-            ), f"trial {trial}"
-            pair, rel = mi_matrix(X, y)
+            assert utility_u(X, y) == mi_reference.utility_u(X, y), f"trial {trial}"
+            engine = MIEngine(y)
+            pair, rel = engine.pair_mi(range(n), X), engine.target_mi(range(n), X)
             ref_pair, ref_rel = mi_reference.mi_matrix(X, y)
             assert pair.tolist() == ref_pair.tolist(), f"trial {trial}"
             assert rel.tolist() == ref_rel.tolist(), f"trial {trial}"
@@ -381,11 +356,11 @@ class TestExactMI:
                 features.values, target, stop_threshold, epsilon, metric=metric
             )
 
-        def ref_relevance(c, features, target, spec=measures.DEFAULT_BINS, mi=None):
-            return mi_reference.group_relevance(c, features.values, target, spec)
+        def ref_relevance(c, features, target, mi=None):
+            return mi_reference.group_relevance(c, features.values, target)
 
-        def ref_kbest(features, target, k, spec=measures.DEFAULT_BINS, mi=None):
-            return mi_reference.kbest_select(features, target, k, spec)
+        def ref_kbest(features, target, k, mi=None):
+            return mi_reference.kbest_select(features, target, k)
 
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "m_cluster", ref_cluster)

@@ -207,7 +207,7 @@ class TestParseExpression:
             assert np.max(np.abs(direct - reparsed)) < 1e-9
 
     def test_malformed(self):
-        for bad in ("(a+b", "frob(a)", "(ab)"):
+        for bad in ("(a+b", "frob(a)", "(ab)", "+(a)"):
             with pytest.raises(ValueError):
                 parse_expression(bad)
 

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pipeline_reference
 import pytest
+from csv_writer import save_csv
 
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
-from featforge.data_core import Dataset, Task, load_csv, make_split, save_csv
+from featforge.data_core import Dataset, Task, load_csv, make_split
 from featforge.evaluator import ModelSpec, downstream_performance
 from featforge.generation import GenerationConfig
 from featforge.operators import evaluate_expr, parse_expression
@@ -299,16 +300,25 @@ class TestCli:
         ) == 1
 
     @pytest.mark.parametrize(
-        "config_text, env_seed",
+        "command, config_text, env_seed",
         [
-            ("epochs=abc\n", None),
-            ("epochs=1\nsteps=1\n", "x"),
-            ("epochs=1\nsteps=1\nmodel.n_trees=0\n", None),
-            ("epochs=1\nsteps=1\nagent.kind=sarsa\n", None),
+            ("run", "epochs=abc\n", None),
+            ("run", "epochs=1\nsteps=1\n", "x"),
+            ("run", "epochs=1\nsteps=1\nmodel.n_trees=0\n", None),
+            ("run", "epochs=1\nsteps=1\nagent.kind=sarsa\n", None),
+            ("cluster", "clustering.epsilon=abc\n", None),
+            ("cluster", "clustering.epsilon=0\n", None),
+            ("run", "epochs=1\nsteps=1\nclustering.stop_threshold=abc\n", None),
+            ("cluster", "clustering.stop_threshold=abc\n", None),
         ],
-        ids=["epochs", "env_seed", "n_trees", "agent_kind"],
+        ids=[
+            "epochs", "env_seed", "n_trees", "agent_kind",
+            "cluster_epsilon", "cluster_zero_epsilon", "stop_threshold", "cluster_stop_threshold",
+        ],
     )
-    def test_malformed_config_value_usage_error(self, tmp_path, monkeypatch, capsys, config_text, env_seed):
+    def test_malformed_config_value_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, config_text, env_seed
+    ):
         path, _ = write_dataset_csv(tmp_path)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(config_text)
@@ -317,7 +327,7 @@ class TestCli:
         else:
             monkeypatch.setenv("FEATFORGE_SEED", env_seed)
         code = cli_main(
-            ["run", "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path)]
+            [command, "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path)]
         )
         err = capsys.readouterr().err
         assert code == 1
