@@ -8,7 +8,7 @@ value/advantage decomposition, and actor-critic with entropy regularization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

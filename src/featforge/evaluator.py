@@ -289,7 +289,7 @@ def knn_anomaly_scores(train_X, test_X, k: int = 5) -> np.ndarray:
     xs, xt = _standardize(train_X, test_X)
     d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xt @ xs.T
     d = np.sqrt(np.maximum(d2, 0.0))
-    part = np.sort(d, axis=1)[:, :k]
+    part = np.sort(np.partition(d, k - 1, axis=1)[:, :k], axis=1)
     return part.mean(axis=1)
 
 

@@ -49,13 +49,18 @@ class GroupPartition:
 def group_distance(
     c1: FeatureGroup, c2: FeatureGroup, features, target, epsilon: float = DEFAULT_EPSILON
 ) -> float:
-    """Mean over cross pairs of |MI(f_i,y) - MI(f_j,y)| / (MI(f_i,f_j) + eps)."""
+    """Mean over cross pairs of |MI(f_i,y) - MI(f_j,y)| / (MI(f_i,f_j) + eps).
+
+    The throwaway engine sees only the two groups' columns, in table order, so
+    each pair's MI is computed in the same orientation as over the whole table.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     mi, names, values = named_columns(features, target, None)
-    return _distance_from_tables(
-        c1.indices, c2.indices, mi.pair_mi(names, values), mi.target_mi(names, values), epsilon
-    )
+    cols = sorted(set(c1.indices) | set(c2.indices))
+    names, values = [names[i] for i in cols], values[:, cols]
+    g1, g2 = (tuple(cols.index(i) for i in c.indices) for c in (c1, c2))
+    return _distance_from_tables(g1, g2, mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
 
 
 def _distance_from_tables(

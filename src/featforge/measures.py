@@ -207,22 +207,27 @@ def cosine_similarity(x, y) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
-def pearson_abs(x, y) -> float:
-    """Absolute Pearson correlation; 0 if either vector is constant."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    if len(x) < 2:
+def abs_correlations(values) -> np.ndarray:
+    """n x n absolute Pearson correlations of the columns of an m x n matrix.
+
+    The diagonal is 1; a constant column correlates 0 with every other one.
+    Each column is centred and normed once, and each pair is one dot product
+    of two contiguous centred columns, so every entry equals the one computed
+    from that pair alone.
+    """
+    cols = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    if cols.shape[1] < 2:
         raise ValueError("need at least 2 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = np.sqrt(np.sum(xc**2))
-    sy = np.sqrt(np.sum(yc**2))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    r = np.dot(xc, yc) / (sx * sy)
-    return float(min(abs(r), 1.0))
+    cols = cols - cols.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.sum(cols**2, axis=1))
+    n = len(cols)
+    a = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if norms[i] != 0.0 and norms[j] != 0.0:
+                r = np.dot(cols[i], cols[j]) / (norms[i] * norms[j])
+                a[i, j] = a[j, i] = min(abs(r), 1.0)
+    return a
 
 
 def descriptive_stats(x) -> StatVector7:

@@ -4,8 +4,10 @@ Three encoders: ``ds`` (two-pass descriptive statistics, 49 values), ``ae``
 (column-then-row autoencoder bottleneck), ``gae`` (one-layer graph
 convolutional autoencoder over the feature correlation graph).  Concatenated
 variants ``ds+ae`` and ``ds+ae+gae`` are also supported.  ds is pure; ae/gae
-own training state and are warm-started between calls, rebuilding whenever the
-input shape changes.
+own training state and are warm-started between calls.  A change of the input's
+row count rebuilds a network from its seed; a change of its column count keeps
+the learned weights and Adam state (the ae resizes its width-dependent tensors)
+and fine-tunes them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featforge.measures import descriptive_stats, pearson_abs
+from featforge.measures import abs_correlations, descriptive_stats
 from featforge.nnet import AdamState, adam_update, bce, mse
 
 log = logging.getLogger(__name__)
@@ -90,12 +92,19 @@ def compose_state(role: str, parts) -> StateVector:
     return StateVector(values=values, method="concat")
 
 
+def _uniform(rng: np.random.Generator, fan_in: int, *shape: int) -> np.ndarray:
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
 class AutoencoderEncoder:
     """Column-then-row autoencoder; the flattened bottleneck is the state.
 
     The per-column map reads a full (subsampled) column, so the network is
-    rebuilt and retrained whenever the row or column count changes; otherwise
-    it is fine-tuned for a few epochs.
+    rebuilt and trained for ``train_epochs`` whenever the row count changes.
+    A column-count change resizes the width-dependent tensors (``_resize``)
+    and keeps everything else, Adam state included; either way the network is
+    then fine-tuned for ``incremental_epochs``.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -122,17 +131,44 @@ class AutoencoderEncoder:
     def _build(self, m_s: int, n: int) -> None:
         k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
         rng = np.random.default_rng(self.cfg.seed)
-        def u(fan_in, *shape):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-        wc = u(m_s, k, m_s)
+        wc = _uniform(rng, m_s, k, m_s)
         bc = np.zeros(k)
-        wr = u(n, n, d)
+        wr = _uniform(rng, n, n, d)
         br = np.zeros(d)
-        wd = u(k * d, m_s * n, k * d)
+        wd = _uniform(rng, k * d, m_s * n, k * d)
         bd = np.zeros(m_s * n)
         self._params = [wc, bc, wr, br, wd, bd]
         self._adam = AdamState()
+        self._shape = (m_s, n)
+
+    def _resize(self, n: int) -> None:
+        """Change the width to ``n`` columns, matching columns by position.
+
+        ``wr`` (n x d), ``wd`` (m_s*n x k*d) and ``bd`` (m_s*n) are the only
+        width-dependent tensors.  The first min(old, n) columns keep their
+        weights and Adam moments; new columns get ``_build``'s init law from a
+        generator seeded by the config seed and both widths, and zero moments.
+        """
+        m_s, old = self._shape
+        k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
+        keep, extra = min(old, n), max(n - old, 0)
+        rng = np.random.default_rng((self.cfg.seed, old, n))
+        # param index: new columns' init as a (rows, column, tail) block, new shape
+        resized = {
+            2: (_uniform(rng, n, 1, extra, d), (n, d)),
+            4: (_uniform(rng, k * d, m_s, extra, k * d), (m_s * n, k * d)),
+            5: (np.zeros((m_s, extra, 1)), (m_s * n,)),
+        }
+
+        def widen(a, fill, shape):
+            kept = a.reshape(fill.shape[0], old, fill.shape[2])[:, :keep]
+            return np.concatenate([kept, fill], axis=1).reshape(shape)
+
+        for i, (new, shape) in resized.items():
+            zeros = np.zeros_like(new)
+            self._params[i] = widen(self._params[i], new, shape)
+            self._adam.m[i] = widen(self._adam.m[i], zeros, shape)
+            self._adam.v[i] = widen(self._adam.v[i], zeros, shape)
         self._shape = (m_s, n)
 
     def _forward(self, f: np.ndarray):
@@ -177,9 +213,11 @@ class AutoencoderEncoder:
         if f.size == 0:
             raise ValueError("empty feature matrix")
         epochs = self.cfg.incremental_epochs
-        if self._shape != f.shape:
+        if self._shape is None or self._shape[0] != f.shape[0]:
             self._build(*f.shape)
             epochs = self.cfg.train_epochs
+        elif self._shape[1] != f.shape[1]:
+            self._resize(f.shape[1])
         for _ in range(epochs):
             self._train_step(f)
         h = self._forward(f)[4]
@@ -187,11 +225,16 @@ class AutoencoderEncoder:
 
 
 class GraphAutoencoderEncoder:
-    """One-layer GCN over the |pearson| feature graph; state = mean node embedding."""
+    """One-layer GCN over the |pearson| feature graph; state = mean node embedding.
+
+    Its one weight ``w`` is (rows x gae_dim), so only a row-count change
+    rebuilds it; across column counts it is fine-tuned with its Adam state.
+    """
+
+    adjacency = staticmethod(abs_correlations)
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self._shape: tuple[int, int] | None = None
         self._w: np.ndarray | None = None
         self._adam = AdamState()
 
@@ -199,19 +242,8 @@ class GraphAutoencoderEncoder:
     def length(self) -> int:
         return self.cfg.gae_dim
 
-    @staticmethod
-    def adjacency(features: np.ndarray) -> np.ndarray:
-        n = features.shape[1]
-        a = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                a[i, j] = a[j, i] = pearson_abs(features[:, i], features[:, j])
-        return a
-
     def _build(self, m: int) -> None:
-        rng = np.random.default_rng(self.cfg.seed)
-        bound = 1.0 / np.sqrt(m)
-        self._w = rng.uniform(-bound, bound, size=(m, self.cfg.gae_dim))
+        self._w = _uniform(np.random.default_rng(self.cfg.seed), m, m, self.cfg.gae_dim)
         self._adam = AdamState()
 
     def _forward(self, msg: np.ndarray):
@@ -253,10 +285,9 @@ class GraphAutoencoderEncoder:
         a = self.adjacency(features)
         msg = self._message_matrix(features, a)
         epochs = self.cfg.incremental_epochs
-        if self._shape != (m, n) or self._w is None:
+        if self._w is None or len(self._w) != m:
             self._build(m)
             epochs = self.cfg.train_epochs
-            self._shape = (m, n)
         for _ in range(epochs):
             self._train_step(msg, a)
         z = self._forward(msg)[1]

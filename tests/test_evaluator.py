@@ -379,6 +379,22 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_anomaly_scores(np.ones((3, 1)), np.ones((2, 1)), k=3)
 
+    def test_partition_matches_full_sort(self):
+        """The k smallest distances, sorted, are the full sort's first k, so the scores are ``==``."""
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            m, n, cols = int(rng.integers(6, 400)), int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            # even seeds: few distinct integer values, so many distances tie
+            draw = (lambda size: rng.integers(0, 3, size=size).astype(float)) if seed % 2 == 0 else rng.normal
+            train = draw(size=(m, cols))
+            test = np.vstack([train[: n // 2], draw(size=(n - n // 2, cols))])
+            k = int(rng.integers(1, min(m, 40)))
+            xs, xt = evaluator._standardize(train, test)
+            d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xt @ xs.T
+            d = np.sqrt(np.maximum(d2, 0.0))
+            expected = np.sort(d, axis=1)[:, :k].mean(axis=1)
+            assert np.array_equal(knn_anomaly_scores(train, test, k=k), expected)
+
 
 def brute_force_macro_f1(pred, truth):
     n_classes = int(max(pred.max(), truth.max())) + 1

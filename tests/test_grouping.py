@@ -11,7 +11,9 @@ from featforge.grouping import (
     group_relevance,
     m_cluster,
 )
-from featforge.measures import mutual_information
+from featforge.generation import FeatureTable
+from featforge.measures import MIEngine, mutual_information
+from featforge.operators import FeatureExpr
 
 
 def random_problem(seed, m=40, n=5):
@@ -40,6 +42,22 @@ class TestGroupPartition:
 
 
 class TestGroupDistance:
+    def test_matches_full_table(self):
+        """Reading only the two groups' columns gives the distance over the whole table, ``==``."""
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            features, target = random_problem(seed, m=int(rng.integers(10, 80)), n=int(rng.integers(2, 9)))
+            n = features.shape[1]
+            c1, c2 = (FeatureGroup(tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))) for _ in range(2))
+            mi = MIEngine(target)
+            names = range(n)
+            full = _distance_from_tables(
+                c1.indices, c2.indices, mi.pair_mi(names, features), mi.target_mi(names, features), 1e-6
+            )
+            assert group_distance(c1, c2, features, target) == full
+            table = FeatureTable(values=features, exprs=tuple(FeatureExpr.leaf(f"f{i}") for i in range(n)))
+            assert group_distance(c1, c2, table, target) == full
+
     def test_same_singleton_is_zero(self):
         features, target = random_problem(0)
         g = FeatureGroup((2,))

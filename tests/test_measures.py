@@ -1,5 +1,6 @@
 import json
 
+import encoder_reference
 import mi_reference
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from featforge.generation import FeatureTable
 from featforge.grouping import FeatureGroup, group_relevance, m_cluster
 from featforge.measures import (
     MIEngine,
+    abs_correlations,
     cosine_similarity,
     descriptive_stats,
     discretize,
     entropy,
     mutual_information,
-    pearson_abs,
     utility_u,
 )
 from featforge.operators import FeatureExpr
@@ -391,6 +392,10 @@ class TestCosineSimilarity:
         assert cosine_similarity([0, 0], [1, 2]) == 0.0
 
 
+def pearson_abs(x, y):
+    return abs_correlations(np.column_stack([x, y]))[0, 1]
+
+
 class TestPearsonAbs:
     def test_linear(self):
         x = np.arange(10.0)
@@ -405,6 +410,24 @@ class TestPearsonAbs:
         for _ in range(20):
             r = pearson_abs(rng.normal(size=15), rng.normal(size=15))
             assert 0.0 <= r <= 1.0
+
+    def test_too_few_rows(self):
+        with pytest.raises(ValueError):
+            abs_correlations(np.ones((1, 3)))
+
+    def test_matches_pairwise_loop(self):
+        """Every entry equals the former per-pair ``pearson_abs`` loop, compared with ``==``."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(2, 2500)), int(rng.integers(1, 18))
+            f = rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 1e6], size=n)
+            if n > 2:
+                f[:, 1] = 3.0  # a constant column
+            if n > 3:
+                f[:, 3] = -2.0 * f[:, 0]  # an exactly collinear pair
+            if seed % 3 == 0:
+                f = np.round(f, 1)  # ties
+            assert np.array_equal(abs_correlations(f), encoder_reference.GraphAutoencoderEncoder.adjacency(f))
 
 
 class TestDescriptiveStats:

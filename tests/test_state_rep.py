@@ -1,11 +1,11 @@
 import logging
 
 import adam_reference
+import encoder_reference
 import numpy as np
 import pytest
 
 from featforge import state_rep
-from featforge.nnet import bce, mse
 from featforge.state_rep import (
     DS_LENGTH,
     AutoencoderEncoder,
@@ -107,12 +107,13 @@ class TestAutoencoder:
         b = AutoencoderEncoder(EncoderConfig(seed=1)).encode(f).values
         assert np.array_equal(a, b)
 
-    def test_rebuild_on_shape_change(self):
-        enc = AutoencoderEncoder(EncoderConfig())
+    def test_resize_on_width_change(self):
+        cfg = EncoderConfig()
+        enc = AutoencoderEncoder(cfg)
         enc.encode(random_features(0, n=4))
-        shape_before = enc._shape
         enc.encode(random_features(0, n=6))
-        assert enc._shape != shape_before
+        assert enc._shape == (50, 6)
+        assert enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
 
     def test_row_subsample_cap(self):
         cfg = EncoderConfig(row_subsample_cap=32)
@@ -257,7 +258,7 @@ class TestExactAdam:
     @pytest.mark.parametrize("kind", [AutoencoderEncoder, GraphAutoencoderEncoder])
     def test_encoder_matches_reference(self, kind, monkeypatch):
         cfg = EncoderConfig(seed=3)
-        # the width change rebuilds the encoder and restarts its Adam state
+        # the width change keeps the encoder and its Adam state, so the step count runs on
         inputs = [random_features(seed, m=40, n=n) for seed, n in ((0, 5), (1, 5), (2, 5), (3, 6), (4, 6))]
         enc = kind(cfg)
         states = [enc.encode(f).values for f in inputs]
@@ -265,9 +266,124 @@ class TestExactAdam:
             patch.setattr(state_rep, "adam_update", adam_reference.encoder_update)
             ref = kind(cfg)
             ref_states = [ref.encode(f).values for f in inputs]
-        assert ref._adam.step == enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
+        assert ref._adam.step == enc._adam.step == cfg.train_epochs + 4 * cfg.incremental_epochs
         assert all(np.array_equal(a, b) for a, b in zip(states, ref_states))
         params = enc._params if kind is AutoencoderEncoder else [enc._w]
         ref_params = ref._params if kind is AutoencoderEncoder else [ref._w]
         assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
         assert all(np.array_equal(a, b) for a, b in zip(enc._adam.m + enc._adam.v, ref._adam.m + ref._adam.v))
+
+
+def _weights(enc):
+    return [p.copy() for p in enc._params] if hasattr(enc, "_params") else [enc._w.copy()]
+
+
+def _moments(enc):
+    return [a.copy() for a in enc._adam.m + enc._adam.v]
+
+
+def _equal(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(a, b) for a, b in zip(xs, ys))
+
+
+def _copy_state(src, dst, shape):
+    """Give the reference encoder ``dst`` the state of ``src``, keyed to inputs of ``shape``."""
+    if isinstance(src, AutoencoderEncoder):
+        dst._params = _weights(src)
+    else:
+        dst._w = src._w.copy()
+    dst._shape = shape
+    dst._adam.step = src._adam.step
+    dst._adam.m = [a.copy() for a in src._adam.m]
+    dst._adam.v = [a.copy() for a in src._adam.v]
+
+
+class TestWarmStart:
+    """The encoders against the verbatim pre-warm-start copies in ``encoder_reference``."""
+
+    KINDS = [
+        (AutoencoderEncoder, encoder_reference.AutoencoderEncoder),
+        (GraphAutoencoderEncoder, encoder_reference.GraphAutoencoderEncoder),
+    ]
+
+    @pytest.mark.parametrize("kind,ref_kind", KINDS)
+    @pytest.mark.parametrize("m,n,cap", [(40, 5, 256), (30, 2, 256), (300, 7, 64)])
+    def test_same_width_matches_reference(self, kind, ref_kind, m, n, cap):
+        cfg = EncoderConfig(seed=11, row_subsample_cap=cap)
+        enc, ref = kind(cfg), ref_kind(cfg)
+        for seed in range(4):
+            f = random_features(seed, m=m, n=n)
+            assert np.array_equal(enc.encode(f).values, ref.encode(f).values)
+            assert _equal(_weights(enc), _weights(ref))
+            assert _equal(_moments(enc), _moments(ref))
+            assert enc._adam.step == ref._adam.step == cfg.train_epochs + seed * cfg.incremental_epochs
+
+    @pytest.mark.parametrize("old,new", [(5, 7), (7, 5), (3, 4)])
+    def test_autoencoder_width_change_keeps_columns(self, old, new):
+        cfg = EncoderConfig(seed=13, ae_col_dim=3, ae_row_dim=2)
+        k, d, m = cfg.ae_col_dim, cfg.ae_row_dim, 30
+        enc = AutoencoderEncoder(cfg)
+        enc.encode(random_features(0, m=m, n=old))
+        params, moments, step = _weights(enc), _moments(enc), enc._adam.step
+        enc._resize(new)
+        keep, extra = min(old, new), max(new - old, 0)
+        assert enc._shape == (m, new) and enc._adam.step == step
+        # wc, bc and br do not depend on the width
+        for i in (0, 1, 3):
+            assert np.array_equal(enc._params[i], params[i])
+            assert np.array_equal(enc._adam.m[i], moments[i]) and np.array_equal(enc._adam.v[i], moments[6 + i])
+        rng = np.random.default_rng((cfg.seed, old, new))
+        drawn = {
+            2: rng.uniform(-1 / np.sqrt(new), 1 / np.sqrt(new), size=(1, extra, d)),
+            4: rng.uniform(-1 / np.sqrt(k * d), 1 / np.sqrt(k * d), size=(m, extra, k * d)),
+            5: np.zeros((m, extra, 1)),
+        }
+        shapes = {2: (new, d), 4: (m * new, k * d), 5: (m * new,)}
+        for i, fresh in drawn.items():
+            rows, tail = fresh.shape[0], fresh.shape[2]
+            assert enc._params[i].shape == enc._adam.m[i].shape == enc._adam.v[i].shape == shapes[i]
+            got = enc._params[i].reshape(rows, new, tail)
+            assert np.array_equal(got[:, :keep], params[i].reshape(rows, old, tail)[:, :keep])
+            assert np.array_equal(got[:, keep:], fresh)
+            for j in (i, 6 + i):
+                mom = (enc._adam.m + enc._adam.v)[j].reshape(rows, new, tail)
+                assert np.array_equal(mom[:, :keep], moments[j].reshape(rows, old, tail)[:, :keep])
+                assert not mom[:, keep:].any()
+
+    @pytest.mark.parametrize("kind,ref_kind", KINDS)
+    def test_width_change_fine_tunes(self, kind, ref_kind):
+        """After a width change the network trains on, as the reference does from the same state."""
+        cfg = EncoderConfig(seed=17)
+        enc, ref = kind(cfg), ref_kind(cfg)
+        enc.encode(random_features(0, m=40, n=5))
+        step = enc._adam.step
+        f = random_features(1, m=40, n=7)
+        if kind is AutoencoderEncoder:
+            enc._resize(7)
+        _copy_state(enc, ref, f.shape)
+        state = enc.encode(f).values
+        assert enc._adam.step == step + cfg.incremental_epochs
+        assert np.array_equal(state, ref.encode(f).values)
+        assert _equal(_weights(enc), _weights(ref))
+        assert _equal(_moments(enc), _moments(ref))
+
+    @pytest.mark.parametrize("kind,ref_kind", KINDS)
+    def test_row_count_change_rebuilds(self, kind, ref_kind):
+        cfg = EncoderConfig(seed=19)
+        enc = kind(cfg)
+        enc.encode(random_features(0, m=40, n=5))
+        enc.encode(random_features(1, m=40, n=6))
+        f = random_features(2, m=30, n=6)
+        ref = ref_kind(cfg)
+        assert np.array_equal(enc.encode(f).values, ref.encode(f).values)
+        assert enc._adam.step == cfg.train_epochs
+        assert _equal(_weights(enc), _weights(ref))
+        assert _equal(_moments(enc), _moments(ref))
+
+    def test_subsampled_rows_do_not_rebuild(self):
+        cfg = EncoderConfig(row_subsample_cap=32)
+        enc = AutoencoderEncoder(cfg)
+        enc.encode(random_features(0, m=100, n=3))
+        enc.encode(random_features(1, m=120, n=3))
+        assert enc._shape == (32, 3)
+        assert enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
