@@ -3,13 +3,18 @@
 Random forest (CART trees built from scratch) for classification/regression
 and a KNN mean-distance anomaly scorer.  The headline metric is macro-F1 /
 1-RAE / ROC-AUC depending on the task.
+
+The forest grows all its trees together in the calling process, one depth at
+a time, into flat node arrays. Each depth runs one exact split search over
+every splittable node of every tree, batched by node size, and predict steps
+all rows through all trees at once.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,159 +42,185 @@ class EvalResult:
 
 # ---------------------------------------------------------------- CART trees
 
-
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value=None):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = value
+# cells (node, candidate column) times padded rows, times classes for Gini,
+# that one batch of the split search scores at once: bounds its temporaries
+_BATCH = 1 << 14
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: int, min_leaf: int):
-    """Best (column, threshold) over the columns of X; None if no valid split.
+class _Trees(NamedTuple):
+    """A forest's nodes in flat arrays; the root of tree t is node t.
 
-    All columns are searched in one pass, with the per-cut score formulas of a
-    one-column search. The lowest score wins; ties go to the leftmost cut, then
-    to the earliest column, as a column-by-column loop with a strict `<` picks.
+    A leaf has feature -1 and is its own left and right child. ``value`` is
+    the mean target or the majority class of each node's rows.
     """
-    xt = X.T  # (k, m): one row per candidate column
-    k, m = xt.shape
-    order = np.argsort(xt, axis=1, kind="stable")
-    xs = xt[np.arange(k)[:, None], order]
-    ys = y[order]
-    # a cut after left size p, for p in [lo, hi], leaves min_leaf rows per side
-    lo, hi = min_leaf, m - min_leaf
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+
+def _finite(a, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"random forest {name} must be finite")
+    return a
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Rank of each value of X among its column's distinct values, feature-major.
+
+    Sorting a node's rows by (rank, position) orders them as a stable sort by
+    value does. An extra row m, the padding sentinel, ranks above every value.
+    """
+    m, n = X.shape
+    # `_best_splits` keys stay below (m + 1) << bit_length(m - 1): int32 up to m = 32768
+    dtype = np.int32 if (m + 1) << (m - 1).bit_length() <= 2**31 else np.int64
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    dense = np.cumsum(np.vstack([np.zeros((1, n), bool), xs[1:] != xs[:-1]]), axis=0, dtype=dtype)
+    rank = np.full((n, m + 1), m, dtype=dtype)
+    np.put_along_axis(rank[:, :m], order.T, dense.T, axis=1)
+    return rank
+
+
+def _sum_classes(terms: list) -> np.ndarray:
+    """``np.sum(np.stack(terms, axis=-1), axis=-1)`` bit for bit: numpy adds fewer than 8 entries in order."""
+    return np.sum(np.stack(terms, axis=-1), axis=-1) if len(terms) >= 8 else functools.reduce(np.add, terms)
+
+
+def _best_splits(X, rank, y, rows, sizes, feats, classification: bool, n_classes: int, min_leaf: int):
+    """Best (column, threshold) of each node; column -1 where no cut is valid.
+
+    Node j's rows ``rows[j, :sizes[j]]`` are padded with the sentinel row,
+    which ``rank`` sorts last and whose target in ``y`` adds nothing to any
+    sum, so each valid cut scores as in a one-node search. The lowest score
+    wins; ties go to the earliest column, then to the leftmost cut.
+    """
+    k, width = rows.shape
+    n_try = feats.shape[1]
+    shift = (width - 1).bit_length()
+    position = np.arange(width, dtype=rank.dtype)
+    # a cut after left size p, for p in [lo, hi], leaves min_leaf rows on the left
+    lo, hi = min_leaf, width - min_leaf
     nl = np.arange(lo, hi + 1, dtype=float)
-    nr = m - nl
-    if classification:
-        prefix = np.cumsum(ys[:, :, None] == np.arange(n_classes), axis=1)
-        left = prefix[:, lo - 1 : hi]
-        right = prefix[:, -1:] - left
-        pl = left / nl[:, None]
-        pr = right / nr[:, None]
-        gini_l = 1.0 - np.sum(pl * pl, axis=2)
-        gini_r = 1.0 - np.sum(pr * pr, axis=2)
-        score = (nl * gini_l + nr * gini_r) / m
-    else:
-        s = np.cumsum(ys, axis=1)
-        s2 = np.cumsum(ys * ys, axis=1)
-        sl = s[:, lo - 1 : hi]
-        sr = s[:, -1:] - sl
-        s2l = s2[:, lo - 1 : hi]
-        s2r = s2[:, -1:] - s2l
-        var_l = s2l / nl - (sl / nl) ** 2
-        var_r = s2r / nr - (sr / nr) ** 2
-        score = (nl * var_l + nr * var_r) / m
-    # only cuts between two different values are valid
-    valid = xs[:, lo - 1 : hi] < xs[:, lo : hi + 1]
-    np.putmask(score, ~valid, np.inf)
-    col, i = divmod(int(np.argmin(score)), score.shape[1])
-    if not valid[col, i]:
-        return None
-    pos = lo + i
-    return col, 0.5 * (xs[col, pos - 1] + xs[col, pos])
-
-
-def _build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    classification: bool,
-    n_classes: int,
-    max_depth: int,
-    min_leaf: int,
-    rng: np.random.Generator,
-    depth: int = 0,
-) -> _TreeNode:
-    def leaf():
+    cut_cols, cut_at = np.full(k, -1), np.zeros(k)
+    step = max(1, _BATCH // (n_try * width * (n_classes if classification else 1)))
+    for a in range(0, k, step):
+        b = min(k, a + step)
+        node = np.repeat(np.arange(b - a), n_try)
+        key = np.sort((rank[feats[a:b, :, None], rows[a:b, None, :]] << shift) | position, axis=2)
+        key = key.reshape(len(node), width)
+        srows = rows[a:b][node[:, None], key & ((1 << shift) - 1)]
+        ys, r = y[srows], key >> shift
+        m = sizes[a:b][node].astype(float)[:, None]
+        nr = m - nl
+        # only cuts between two different values that leave min_leaf rows on the right
+        valid = (r[:, lo - 1 : hi] < r[:, lo : hi + 1]) & (nr >= min_leaf)
+        np.maximum(nr, 1.0, out=nr)
         if classification:
-            counts = np.bincount(y.astype(int), minlength=n_classes)
-            return _TreeNode(value=int(np.argmax(counts)))
-        return _TreeNode(value=float(y.mean()))
+            sq_l, sq_r = [], []
+            for c in range(n_classes):
+                count = np.cumsum(ys == c, axis=1, dtype=float)
+                pl = count[:, lo - 1 : hi] / nl
+                pr = (count[:, -1:] - count[:, lo - 1 : hi]) / nr
+                sq_l.append(pl * pl)
+                sq_r.append(pr * pr)
+            score = (nl * (1.0 - _sum_classes(sq_l)) + nr * (1.0 - _sum_classes(sq_r))) / m
+        else:
+            s, s2 = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
+            sl, s2l = s[:, lo - 1 : hi], s2[:, lo - 1 : hi]
+            var_l = s2l / nl - (sl / nl) ** 2
+            var_r = (s2[:, -1:] - s2l) / nr - ((s[:, -1:] - sl) / nr) ** 2
+            score = (nl * var_l + nr * var_r) / m
+        np.putmask(score, ~valid, np.inf)
+        col, i = np.divmod(np.argmin(score.reshape(b - a, -1), axis=1), len(nl))
+        cell = np.arange(b - a) * n_try + col
+        ok = np.flatnonzero(valid[cell, i])
+        cell, i, f = cell[ok], i[ok], feats[a + ok, col[ok]]
+        cut_cols[a + ok] = f
+        cut_at[a + ok] = 0.5 * (X[srows[cell, lo + i - 1], f] + X[srows[cell, lo + i], f])
+    return cut_cols, cut_at
 
-    if depth >= max_depth or len(y) < 2 * min_leaf or y.min() == y.max():
-        return leaf()
-    n = X.shape[1]
+
+def _grow_forest(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: int, spec: ModelSpec) -> _Trees:
+    """Grow the ``spec.n_trees`` trees of a forest together, one depth at a time.
+
+    Tree t draws from ``default_rng(spec.seed * 1_000_003 + t)``: first its
+    bootstrap rows, ``integers(0, m, m)``; then, at each depth, one
+    ``random((count, n))`` for the tree's ``count`` splittable nodes there, in
+    node order. Each row of that draw, stably argsorted and cut to its first
+    ceil(sqrt(n)) entries, then sorted, is one node's candidate columns. A node
+    above ``max_depth`` is splittable when it holds at least
+    ``2 * min_samples_leaf`` rows whose targets differ. Nodes are numbered
+    depth by depth, tree by tree; children follow their parents' order, left
+    before right, and keep their parent's row order.
+    """
+    m, n = X.shape
+    n_trees, min_leaf = spec.n_trees, spec.min_samples_leaf
     n_try = int(np.ceil(np.sqrt(n)))
-    feats = np.sort(rng.choice(n, size=n_try, replace=False))
-    best = _best_split(X[:, feats], y, classification, n_classes, min_leaf)
-    if best is None:
-        return leaf()
-    col, threshold = best
-    f = feats[col]
-    mask = X[:, f] <= threshold
-    # midpoints of near-identical values can round onto one of them
-    if not mask.any() or mask.all():
-        return leaf()
-    node = _TreeNode()
-    node.feature = int(f)
-    node.threshold = float(threshold)
-    node.left = _build_tree(X[mask], y[mask], classification, n_classes, max_depth, min_leaf, rng, depth + 1)
-    node.right = _build_tree(X[~mask], y[~mask], classification, n_classes, max_depth, min_leaf, rng, depth + 1)
-    return node
-
-
-def _predict_tree(node: _TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        cur = node
-        while cur.value is None:
-            cur = cur.left if X[i, cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.value
-    return out
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return 1
-
-
-def _fork_call(fn):
-    """Call ``fn()`` in a forked copy of this process.
-
-    Returns the child's pid and the read end of a pipe that carries the
-    pickled ``(ok, value or exception)`` back; `_join` reads it and reaps the
-    child. The child is a copy-on-write image of the caller, so it sees the
-    caller's arrays and module globals (a patched builder too) without any of
-    them being sent, and it leaves by ``os._exit``, so it runs none of the
-    exit handlers and flushes none of the buffered output it inherited.
-    """
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        os.close(read)
-        try:
-            outcome = (True, fn())
-        except BaseException as exc:
-            outcome = (False, exc)
-        with os.fdopen(write, "wb") as out:
-            out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _join(pid: int, read: int) -> tuple[int, bytes]:
-    """Child ``pid``'s exit code and pipe contents, once it has exited.
-
-    The pipe is closed before the wait, so a child still writing to it gets
-    EPIPE and exits instead of blocking.
-    """
-    try:
-        with os.fdopen(read, "rb") as src:
-            payload = src.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return code, payload
+    rngs = [np.random.default_rng(spec.seed * 1_000_003 + t) for t in range(n_trees)]
+    # the nodes of one depth: their rows back to back, their sizes and trees
+    idx = np.concatenate([rng.integers(0, m, size=m) for rng in rngs])
+    sizes, tree = np.full(n_trees, m), np.arange(n_trees)
+    rank = _dense_ranks(X)
+    y_pad = np.append(y, -1.0 if classification else 0.0)
+    levels = []
+    for depth in range(spec.max_depth + 1):
+        k, first = len(sizes), sum(len(level.value) for level in levels)
+        starts = np.cumsum(sizes) - sizes
+        node = np.repeat(np.arange(k), sizes)
+        ys = y[idx]
+        if classification:
+            votes = np.bincount(node * n_classes + ys.astype(int), minlength=k * n_classes)
+            value = np.argmax(votes.reshape(k, n_classes), axis=1).astype(float)
+        else:
+            # reduceat sums a node as its first entry plus a pairwise sum of the
+            # rest, so a zero ahead of each node makes its sum that of ys.mean()
+            padded = np.zeros(len(ys) + k)
+            padded[np.arange(len(ys)) + node + 1] = ys
+            value = np.add.reduceat(padded, starts + np.arange(k)) / sizes
+        level = _Trees(np.full(k, -1), np.zeros(k), np.arange(first, first + k), np.arange(first, first + k), value)
+        levels.append(level)
+        splittable = np.flatnonzero(
+            (sizes >= 2 * min_leaf) & (np.minimum.reduceat(ys, starts) < np.maximum.reduceat(ys, starts))
+        )
+        if depth == spec.max_depth or len(splittable) == 0:
+            break
+        draws = [rngs[t].random((c, n)) for t, c in enumerate(np.bincount(tree[splittable], minlength=n_trees)) if c]
+        feats = np.sort(np.concatenate(draws).argsort(axis=1, kind="stable")[:, :n_try], axis=1)
+        feature, threshold = np.full(k, -1), np.zeros(k)
+        # one batch per power-of-two size class (16 rows at least), padded to its largest node
+        size_class = np.maximum(np.ceil(np.log2(sizes[splittable])), 4)
+        for c in np.unique(size_class):
+            group = size_class == c
+            nodes = splittable[group]
+            size = sizes[nodes]
+            # the nodes' rows back to back, then laid out one node per row
+            sample = np.arange(size.sum()) + np.repeat(starts[nodes] - (np.cumsum(size) - size), size)
+            rows = np.full((len(nodes), size.max()), m)
+            rows[np.arange(size.max()) < size[:, None]] = idx[sample]
+            feature[nodes], threshold[nodes] = _best_splits(
+                X, rank, y_pad, rows, size, feats[group], classification, n_classes, min_leaf
+            )
+        go_left = X[idx, feature[node]] <= threshold[node]
+        n_left = np.bincount(node[go_left], minlength=k)
+        # midpoints of near-identical values can round onto one of them
+        split = np.flatnonzero((feature >= 0) & (n_left > 0) & (n_left < sizes))
+        if len(split) == 0:
+            break
+        level.feature[split], level.threshold[split] = feature[split], threshold[split]
+        level.left[split] = first + k + 2 * np.arange(len(split))
+        level.right[split] = level.left[split] + 1
+        # regroup the split nodes' rows by child, keeping their order within each
+        split_no = np.full(k, -1)
+        split_no[split] = np.arange(len(split))
+        keep = split_no[node] >= 0
+        idx = idx[keep][np.argsort(2 * split_no[node[keep]] + ~go_left[keep], kind="stable")]
+        sizes = np.column_stack([n_left[split], sizes[split] - n_left[split]]).ravel()
+        tree = np.repeat(tree[split], 2)
+    return _Trees(*(np.concatenate(arrays) for arrays in zip(*levels)))
 
 
 class RandomForest:
@@ -198,67 +229,36 @@ class RandomForest:
     def __init__(self, spec: ModelSpec, classification: bool):
         self.spec = spec
         self.classification = classification
-        self.trees: list[_TreeNode] = []
+        self.trees: _Trees | None = None
         self.n_classes = 0
+        self.n_features = 0
 
     def fit(self, X, y) -> "RandomForest":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
+        X = _finite(X, "inputs")
+        y = _finite(y, "targets")
         if len(y) == 0:
             raise ValueError("empty training set")
+        if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
+            raise ValueError(f"need one row of at least one column per target, got {X.shape} for {len(y)}")
         if self.classification:
             self.n_classes = int(y.max()) + 1
-        n = self.spec.n_trees
-        if n < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
-            self.trees = self._grow(range(n), X, y)
-            return self
-        # a forked child grows the second half of the trees while the caller
-        # grows the first; each tree has its own seed, so the forest is the
-        # one a single process grows
-        half = (n + 1) // 2
-        pid, read = _fork_call(lambda: self._grow(range(half, n), X, y))
-        try:
-            trees = self._grow(range(half), X, y)
-        except BaseException:
-            import signal  # only this error path needs it; keeps it out of start-up
-
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code, payload = _join(pid, read)
-        if code != 0:
-            raise ChildProcessError(f"tree-growing child {pid} exited with code {code}")
-        ok, value = pickle.loads(payload)
-        if not ok:
-            raise value
-        self.trees = trees + value
+        self.n_features = X.shape[1]
+        self.trees = _grow_forest(X, y, self.classification, self.n_classes, self.spec)
         return self
 
-    def _grow(self, trees: range, X: np.ndarray, y: np.ndarray) -> list[_TreeNode]:
-        """Trees ``trees`` of the forest; tree t draws its rows and splits from its own seed."""
-        spec, m = self.spec, len(y)
-        out = []
-        for t in trees:
-            rng = np.random.default_rng(spec.seed * 1_000_003 + t)
-            rows = rng.integers(0, m, size=m)
-            out.append(
-                _build_tree(
-                    X[rows],
-                    y[rows],
-                    self.classification,
-                    self.n_classes,
-                    spec.max_depth,
-                    spec.min_samples_leaf,
-                    rng,
-                )
-            )
-        return out
-
     def predict(self, X) -> np.ndarray:
-        if not self.trees:
+        if self.trees is None:
             raise ValueError("fit before predict")
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([_predict_tree(t, X) for t in self.trees])
+        X = _finite(X, "inputs")
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected {self.n_features} columns, got shape {X.shape}")
+        t = self.trees
+        rows = np.arange(len(X))
+        node = np.repeat(np.arange(self.spec.n_trees)[:, None], len(X), axis=1)
+        # a leaf is its own child, so max_depth steps take every row to its leaf
+        for _ in range(self.spec.max_depth):
+            node = np.where(X[rows, t.feature[node]] <= t.threshold[node], t.left[node], t.right[node])
+        preds = t.value[node]
         if self.classification:
             # majority vote; argmax takes the first, so ties go to the lowest class
             votes = (preds == np.arange(self.n_classes)[:, None, None]).sum(axis=1)

@@ -280,7 +280,8 @@ class GraphAutoencoderEncoder:
             features = features[:, None]
         m, n = features.shape
         if n < 2:
-            log.warning("gae needs >= 2 features (got %d); falling back to ds", n)
+            # a one-column group is a normal M-Clustering result
+            log.debug("gae needs >= 2 features (got %d); falling back to ds", n)
             return rep_ds(features)
         a = self.adjacency(features)
         msg = self._message_matrix(features, a)

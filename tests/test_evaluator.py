@@ -1,12 +1,6 @@
 import json
-import multiprocessing
-import os
-import subprocess
-import sys
-import time
-from pathlib import Path
 
-import cart_reference
+import forest_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,47 +85,92 @@ class TestRandomForest:
             votes = rng.integers(0, n_classes, size=n_trees)
             forest = RandomForest(ModelSpec(n_trees=n_trees), classification=True)
             forest.n_classes = n_classes
-            forest.trees = [evaluator._TreeNode(value=int(v)) for v in votes]
+            forest.n_features = 2
+            roots = np.arange(n_trees)
+            forest.trees = evaluator._Trees(
+                np.full(n_trees, -1), np.zeros(n_trees), roots, roots, votes.astype(float)
+            )
             expected = float(np.argmax(np.bincount(votes, minlength=n_classes)))
             assert np.array_equal(forest.predict(np.zeros((4, 2))), np.full(4, expected))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        X, y = separable_data(5)
+        forest = train_random_forest(X, y, ModelSpec(), classification=True)
+        X_bad = X.copy()
+        X_bad[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train_random_forest(X_bad, y, ModelSpec(), classification=True)
+        with pytest.raises(ValueError, match="finite"):
+            forest.predict(X_bad)
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            train_random_forest(X, y_bad, ModelSpec(), classification=False)
 
-def same_tree(a, b) -> bool:
-    """Node-for-node equality: split feature and threshold, leaf value and its type."""
-    if a.value is not None or b.value is not None:
-        return a.value == b.value and type(a.value) is type(b.value)
-    return (
-        a.feature == b.feature
-        and a.threshold == b.threshold
-        and same_tree(a.left, b.left)
-        and same_tree(a.right, b.right)
-    )
+    @pytest.mark.parametrize("shape", [(20,), (20, 0), (19, 2), (21, 2)])
+    def test_fit_shape_must_match_targets(self, shape):
+        y = np.arange(20.0)
+        with pytest.raises(ValueError, match="one row of at least one column per target"):
+            train_random_forest(np.zeros(shape), y, ModelSpec(), classification=False)
+
+    @pytest.mark.parametrize("n_cols", [1, 3])
+    def test_predict_column_count_must_match_fit(self, n_cols):
+        X, y = separable_data(6)
+        forest = train_random_forest(X, y, ModelSpec(), classification=True)
+        with pytest.raises(ValueError, match="expected 2 columns"):
+            forest.predict(np.zeros((4, n_cols)))
+
+
+def random_fit_case(rng, trial):
+    """A small table with tied values and a constant column, and a target of either task."""
+    m = int(rng.integers(5, 301))
+    n = int(rng.integers(1, 31))
+    # rounding forces tied values, so cut validity and tie-breaks matter
+    X = np.round(rng.normal(size=(m, n)), int(rng.integers(0, 3)))
+    X[:, rng.integers(n)] = 1.5
+    classification = trial % 2 == 1
+    if classification:
+        y = rng.integers(0, int(rng.integers(2, 11)), size=m).astype(float)
+    else:
+        y = np.round(rng.normal(size=m), 1)
+    return X, y, classification
 
 
 class TestExactCart:
-    """The batched split search grows the trees of the per-column reference."""
+    """The level-wise batched search grows the trees of the one-node-at-a-time reference."""
 
     def test_forests_match_reference(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for trial in range(300):
-            m = int(rng.integers(5, 301))
-            n = int(rng.integers(1, 31))
-            # rounding forces tied values, so cut validity and tie-breaks matter
-            X = np.round(rng.normal(size=(m, n)), int(rng.integers(0, 3)))
-            X[:, rng.integers(n)] = 1.5
-            classification = trial % 2 == 1
-            if classification:
-                y = rng.integers(0, int(rng.integers(2, 11)), size=m).astype(float)
-            else:
-                y = np.round(rng.normal(size=m), 1)
+            X, y, classification = random_fit_case(rng, trial)
             spec = ModelSpec(n_trees=2, min_samples_leaf=int(rng.integers(1, 4)), seed=trial)
-            batched = train_random_forest(X, y, spec, classification)
+            batched = train_random_forest(X, y, spec, classification).trees
             with monkeypatch.context() as patch:
-                patch.setattr(evaluator, "_build_tree", cart_reference._build_tree)
-                reference = train_random_forest(X, y, spec, classification)
-            assert len(batched.trees) == len(reference.trees)
-            for a, b in zip(batched.trees, reference.trees):
-                assert same_tree(a, b), f"trial {trial}"
+                patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
+                reference = train_random_forest(X, y, spec, classification).trees
+            for name in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(batched, name), getattr(reference, name)), f"trial {trial} {name}"
+            # a batched mean is a reduceat sum over each node's rows, which numpy
+            # may add up in another order than y.mean(); class votes are exact
+            tol = 0.0 if classification else 1e-12
+            assert np.allclose(batched.value, reference.value, rtol=tol, atol=0.0), f"trial {trial}"
+
+    def test_many_rows_match_reference(self, monkeypatch):
+        """Past 32768 rows the search sorts int64 keys instead of int32 ones."""
+        rng = np.random.default_rng(5)
+        X = np.round(rng.normal(size=(33000, 2)), 2)
+        y = np.round(X[:, 0] + rng.normal(size=33000), 1)
+        assert evaluator._dense_ranks(X).dtype == np.int64
+        spec = ModelSpec(n_trees=1, max_depth=2, seed=3)
+        batched = train_random_forest(X, y, spec, classification=False).trees
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
+            reference = train_random_forest(X, y, spec, classification=False).trees
+        assert len(batched.feature) == 7
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(batched, name), getattr(reference, name)), name
+        assert np.allclose(batched.value, reference.value, rtol=1e-12, atol=0.0)
 
     def test_seeded_search_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -146,7 +185,7 @@ class TestExactCart:
         cfg = PipelineConfig(epochs=1, steps_per_epoch=4, seed=0)
         report, best = run_grfg(data, cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluator, "_build_tree", cart_reference._build_tree)
+            patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
             ref_report, ref_best = run_grfg(data, cfg)
         assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
             ref_report.to_dict(), sort_keys=True
@@ -154,217 +193,22 @@ class TestExactCart:
         assert np.array_equal(best.table.values, ref_best.table.values)
 
 
-_TEST_PID = os.getpid()
-_BUILD_TREE = evaluator._build_tree
-
-
-def _root_record(X, y, classification, n_classes, max_depth, min_leaf, rng, depth=0):
-    """A builder whose single leaf records the building process and the tree's seed."""
-    return evaluator._TreeNode(value=(os.getpid(), int(rng.bit_generator.seed_seq.entropy)))
-
-
-def _fails_in_child(*args):
-    if os.getpid() != _TEST_PID:
-        raise RuntimeError("builder failed in the child")
-    return _BUILD_TREE(*args)
-
-
-def _exits_in_child(*args):
-    if os.getpid() != _TEST_PID:
-        os._exit(3)
-    return _BUILD_TREE(*args)
-
-
-def _fails_in_caller(*args):
-    if os.getpid() == _TEST_PID:
-        raise RuntimeError("builder failed in the caller")
-    time.sleep(120)
-    raise RuntimeError("the child was not killed")
-
-
-def _fit_in_child(conn):
-    X, y = separable_data(4, m=60)
-    forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
-    conn.send(forest.predict(X))
-    conn.close()
-
-
-_HANGING_CALLER = _HANGING_CONN = None
-
-
-def _hangs_in_caller(*args):
-    """The caller reports that it forked and hangs; the child waits for the caller to die."""
-    if os.getpid() == _HANGING_CALLER:
-        _HANGING_CONN.send(os.getpid())
-        time.sleep(600)
-    deadline = time.monotonic() + 60
-    while os.getppid() == _HANGING_CALLER and time.monotonic() < deadline:
-        time.sleep(0.05)
-    return _BUILD_TREE(*args)
-
-
-def _fit_and_hang(conn):
-    global _HANGING_CALLER, _HANGING_CONN
-    _HANGING_CALLER, _HANGING_CONN = os.getpid(), conn
-    # this process is thrown away, so nothing needs restoring
-    os.sched_getaffinity = lambda pid: {0, 1}
-    evaluator._build_tree = _hangs_in_caller
-    X, y = separable_data(4, m=60)
-    train_random_forest(X, y, ModelSpec(seed=2), classification=True)
-
-
-def _fit_in_daemon():
-    X, y = separable_data(4, m=60)
-    return train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
-
-
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def assert_reaped(pid):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pid, os.WNOHANG)
-
-
-class TestForkedFit:
-    """Trees grown by a forked child are the trees of a one-CPU fit."""
-
-    @pytest.mark.parametrize("classification", [False, True])
-    @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
-    def test_forked_equals_serial(self, n_trees, classification, monkeypatch):
-        rng = np.random.default_rng(n_trees)
-        X = np.round(rng.normal(size=(150, 7)), 1)
-        if classification:
-            y = rng.integers(0, 3, size=150).astype(float)
-        else:
-            y = np.round(X[:, 0] * X[:, 1] + rng.normal(size=150), 2)
-        spec = ModelSpec(n_trees=n_trees, seed=n_trees + 7)
-        with monkeypatch.context() as patch:
-            cpus(patch, 2)
-            forked = train_random_forest(X, y, spec, classification)
-        with monkeypatch.context() as patch:
-            cpus(patch, 1)
-            serial = train_random_forest(X, y, spec, classification)
-        assert len(forked.trees) == len(serial.trees) == n_trees
-        for a, b in zip(forked.trees, serial.trees):
-            assert same_tree(a, b)
-        assert np.array_equal(forked.predict(X), serial.predict(X))
-
-    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
-    @pytest.mark.parametrize("n_trees", [2, 3, 10])
-    def test_patched_builder_grows_every_root(self, n_cpus, n_trees, monkeypatch):
-        cpus(monkeypatch, n_cpus)
-        monkeypatch.setattr(evaluator, "_build_tree", _root_record)
-        X, y = separable_data(1)
-        forest = train_random_forest(X, y, ModelSpec(n_trees=n_trees, seed=4), classification=False)
-        assert [tree.value[1] for tree in forest.trees] == [4 * 1_000_003 + t for t in range(n_trees)]
-        pids = [tree.value[0] for tree in forest.trees]
-        if n_cpus == 1:
-            assert pids == [os.getpid()] * n_trees
-            return
-        # however many CPUs, the caller grows the first half and one child the rest
-        half = (n_trees + 1) // 2
-        assert pids[:half] == [os.getpid()] * half
-        assert len(set(pids[half:])) == 1 and os.getpid() not in pids[half:]
-        assert_reaped(pids[-1])
-
-    def test_child_error_raises_from_fit(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        X, y = separable_data(2)
-        with monkeypatch.context() as patch:
-            patch.setattr(evaluator, "_build_tree", _fails_in_child)
-            with pytest.raises(RuntimeError, match="builder failed in the child"):
-                train_random_forest(X, y, ModelSpec(), classification=True)
-        assert len(train_random_forest(X, y, ModelSpec(), classification=True).trees) == 10
-
-    def test_dead_child_raises_from_fit(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        X, y = separable_data(3)
-        with monkeypatch.context() as patch:
-            patch.setattr(evaluator, "_build_tree", _exits_in_child)
-            with pytest.raises(ChildProcessError, match="exited with code 3"):
-                train_random_forest(X, y, ModelSpec(), classification=True)
-        assert len(train_random_forest(X, y, ModelSpec(), classification=True).trees) == 10
-
-    def test_caller_error_kills_and_reaps_the_child(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        monkeypatch.setattr(evaluator, "_build_tree", _fails_in_caller)
-        forked = []
-        fork_call = evaluator._fork_call
-
-        def recording_fork_call(fn):
-            pid, read = fork_call(fn)
-            forked.append(pid)
-            return pid, read
-
-        monkeypatch.setattr(evaluator, "_fork_call", recording_fork_call)
-        X, y = separable_data(2)
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="builder failed in the caller"):
-            train_random_forest(X, y, ModelSpec(), classification=True)
-        # the child would sleep for 120 s
-        assert time.monotonic() - start < 60
-        assert len(forked) == 1
-        assert_reaped(forked[0])
-
-    def test_child_exits_when_the_caller_is_killed(self):
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        caller = ctx.Process(target=_fit_and_hang, args=(send,))
-        caller.start()
-        send.close()
-        try:
-            assert receive.poll(60), "the caller did not fork"
-            assert receive.recv() == caller.pid
-        finally:
-            caller.kill()
-            caller.join(60)
-        # the child held the last write end: end of file means it has exited
-        assert receive.poll(60), "the tree-growing child is still running"
-        with pytest.raises(EOFError):
-            receive.recv()
-
-    def test_multiprocessing_children_fit(self, monkeypatch):
-        cpus(monkeypatch, 2)
-        X, y = separable_data(4, m=60)
-        expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_fit_in_child, args=(send,))
-        child.start()
-        send.close()
-        try:
-            assert receive.poll(60), "the forked child's fit did not finish"
-            pred = receive.recv()
-        finally:
-            child.join(60)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
-        assert np.array_equal(pred, expected)
-        # a multiprocessing.Pool worker is daemonic: it may not start
-        # multiprocessing children, but it may fork
-        with ctx.Pool(1) as daemons:
-            assert np.array_equal(daemons.apply_async(_fit_in_daemon).get(60), expected)
-
-    def test_fork_after_a_fit_exits_cleanly(self):
-        script = (
-            "import os, sys\n"
-            "import numpy as np\n"
-            "from featforge.evaluator import ModelSpec, train_random_forest\n"
-            "X = np.arange(120.0).reshape(60, 2); y = (X[:, 0] > 50).astype(float)\n"
-            "train_random_forest(X, y, ModelSpec(), True)\n"
-            "pid = os.fork()\n"
-            "train_random_forest(X, y, ModelSpec(), True)\n"
-            "if pid == 0:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
-        )
-        src = str(Path(evaluator.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-        assert (done.returncode, done.stderr) == (0, "")
+class TestPredict:
+    def test_array_walk_matches_per_row_walk(self):
+        """Every row and tree stepping together predicts what walking each tree row by row does."""
+        rng = np.random.default_rng(77)
+        for trial in range(100):
+            X, y, classification = random_fit_case(rng, trial)
+            spec = ModelSpec(
+                n_trees=int(rng.integers(1, 6)),
+                max_depth=int(rng.integers(1, 9)),
+                min_samples_leaf=int(rng.integers(1, 4)),
+                seed=trial,
+            )
+            forest = train_random_forest(X, y, spec, classification)
+            # fresh rows land between and beyond the fitted values too
+            probe = np.vstack([X, np.round(rng.normal(size=(20, X.shape[1])), 1)])
+            assert np.array_equal(forest.predict(probe), forest_reference.predict(forest, probe)), f"trial {trial}"
 
 
 class TestKnn:

@@ -180,12 +180,12 @@ class TestGraphAutoencoder:
         z = enc._forward(msg)[1]
         assert np.max(np.abs(z[0] - z[1])) < 1e-9
 
-    def test_singleton_fallback_warns(self, caplog):
+    def test_singleton_fallback_logs_at_debug(self, caplog):
         enc = GraphAutoencoderEncoder(EncoderConfig())
-        with caplog.at_level(logging.WARNING):
+        with caplog.at_level(logging.DEBUG, logger="featforge.state_rep"):
             v = enc.encode(random_features(8, n=1))
         assert len(v) == DS_LENGTH
-        assert any("falling back" in r.message for r in caplog.records)
+        assert [r.levelno for r in caplog.records if "falling back" in r.message] == [logging.DEBUG]
 
     def test_gradients_match_finite_differences(self):
         cfg = EncoderConfig(gae_dim=4, seed=5)
@@ -230,6 +230,13 @@ class TestStateEncoder:
         enc = StateEncoder("ds+ae+gae")
         v = enc.encode(random_features(n=1), scope="group")
         assert len(v) == enc.length
+
+    def test_one_column_group_logs_no_warning(self, caplog):
+        """A singleton group is a normal clustering result, not a problem to warn about."""
+        enc = StateEncoder("ds+ae+gae")
+        with caplog.at_level(logging.DEBUG):
+            enc.encode(random_features(n=1), scope="group")
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
     def test_scopes_are_independent(self):
         enc = StateEncoder("ae")
