@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import forest_reference
 import numpy as np
@@ -209,6 +214,129 @@ class TestPredict:
             # fresh rows land between and beyond the fitted values too
             probe = np.vstack([X, np.round(rng.normal(size=(20, X.shape[1])), 1)])
             assert np.array_equal(forest.predict(probe), forest_reference.predict(forest, probe)), f"trial {trial}"
+
+
+def _fit_in_child(conn, X, y, spec, classification):
+    forest = train_random_forest(X, y, spec, classification)
+    conn.send((forest.trees, forest.predict(X)))
+    conn.close()
+
+
+def _fit_separable_in_child(conn):
+    X, y = separable_data(4, m=60)
+    forest = train_random_forest(X, y, ModelSpec(seed=2), classification=True)
+    conn.send(forest.predict(X))
+    conn.close()
+
+
+def _fit_in_daemon():
+    X, y = separable_data(4, m=60)
+    return train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
+
+
+def _receive_from_child(target, *args):
+    """What ``target(conn, *args)`` sends from a forked child, after the child exits with code 0."""
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=target, args=(send, *args))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child's fit did not finish"
+        sent = receive.recv()
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    return sent
+
+
+def _no_fork():
+    raise AssertionError("a fit forked")
+
+
+class TestForkedFit:
+    """A fit grows its forest in the calling process, and a forked process grows the same one."""
+
+    @pytest.mark.parametrize("classification", [False, True])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 10])
+    def test_forked_equals_serial(self, n_trees, classification, monkeypatch):
+        rng = np.random.default_rng(n_trees)
+        X = np.round(rng.normal(size=(150, 7)), 1)
+        if classification:
+            y = rng.integers(0, 3, size=150).astype(float)
+        else:
+            y = np.round(X[:, 0] * X[:, 1] + rng.normal(size=150), 2)
+        spec = ModelSpec(n_trees=n_trees, seed=n_trees + 7)
+        forked, forked_pred = _receive_from_child(_fit_in_child, X, y, spec, classification)
+        caller = train_random_forest(X, y, spec, classification)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
+            serial = train_random_forest(X, y, spec, classification).trees
+        for a, b in zip(forked, caller.trees):
+            assert np.array_equal(a, b)
+        assert np.array_equal(forked_pred, caller.predict(X))
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(forked, name), getattr(serial, name)), name
+        # as in TestExactCart: a batched mean may add up in another order than y.mean()
+        tol = 0.0 if classification else 1e-12
+        assert np.allclose(forked.value, serial.value, rtol=tol, atol=0.0)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_trees", [2, 3, 10])
+    def test_patched_builder_grows_every_root(self, n_cpus, n_trees, monkeypatch):
+        """However many CPUs the process may use, the caller seeds tree t with seed * 1_000_003 + t."""
+        X, y = separable_data(1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        monkeypatch.setattr(os, "fork", _no_fork)
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed=None):
+            seeds.append((os.getpid(), seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        spec = ModelSpec(n_trees=n_trees, seed=4)
+        forest = train_random_forest(X, y, spec, classification=False).trees
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
+            reference = train_random_forest(X, y, spec, classification=False).trees
+        expected = [(os.getpid(), 4 * 1_000_003 + t) for t in range(n_trees)]
+        assert seeds == expected + expected
+        # the root of tree t is node t, and both builders grow the same trees under it
+        assert len(forest.feature) >= n_trees
+        for name in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(forest, name), getattr(reference, name)), name
+        assert np.allclose(forest.value, reference.value, rtol=1e-12, atol=0.0)
+
+    def test_multiprocessing_children_fit(self):
+        X, y = separable_data(4, m=60)
+        expected = train_random_forest(X, y, ModelSpec(seed=2), classification=True).predict(X)
+        assert np.array_equal(_receive_from_child(_fit_separable_in_child), expected)
+        # a multiprocessing.Pool worker is daemonic: it may not start
+        # multiprocessing children, but it may fit
+        with multiprocessing.get_context("fork").Pool(1) as daemons:
+            assert np.array_equal(daemons.apply_async(_fit_in_daemon).get(60), expected)
+
+    def test_fork_after_a_fit_exits_cleanly(self):
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from featforge.evaluator import ModelSpec, train_random_forest\n"
+            "X = np.arange(120.0).reshape(60, 2); y = (X[:, 0] > 50).astype(float)\n"
+            "train_random_forest(X, y, ModelSpec(), True)\n"
+            "pid = os.fork()\n"
+            "train_random_forest(X, y, ModelSpec(), True)\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        src = str(Path(evaluator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestKnn:
