@@ -52,8 +52,12 @@ class AgentConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
-        if self.memory_capacity < 1 or self.batch_size < 1:
-            raise ValueError("capacities must be positive")
+        if not (0.0 <= self.epsilon_start <= 1.0 and 0.0 <= self.epsilon_min <= 1.0):
+            raise ValueError("epsilon_start and epsilon_min must be in [0, 1]")
+        if not 0.0 < self.epsilon_decay <= 1.0:
+            raise ValueError("epsilon_decay must be in (0, 1]")
+        if self.memory_capacity < 1 or self.batch_size < 1 or self.target_sync_every < 1:
+            raise ValueError("capacities and target_sync_every must be positive")
         if self.kind not in ("dqn", "ddqn_dueling", "actor_critic"):
             raise ValueError(f"unknown agent kind {self.kind!r}")
 

@@ -153,6 +153,12 @@ def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
     def get(key, default):
         return file_cfg.get(key, default)
 
+    def flag(key):
+        value = file_cfg.get(key, False)
+        if not isinstance(value, bool):
+            raise _UsageError(f"{key} must be true or false, got {value!r}")
+        return value
+
     epochs = getattr(args, "epochs", None)
     if epochs is None:
         epochs = int(get("epochs", 30))
@@ -190,8 +196,8 @@ def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
         generation=GenerationConfig(
             top_k_pairs=get("generation.top_k_pairs", "auto"),
             size_tolerance_factor=float(get("generation.size_tolerance_factor", 2.0)),
-            random_unary=bool(get("ablation.random_unary", False)),
-            random_binary=bool(get("ablation.random_binary", False)),
+            random_unary=flag("ablation.random_unary"),
+            random_binary=flag("ablation.random_binary"),
         ),
         clustering=_cluster_config(args, file_cfg),
         model=ModelSpec(
@@ -199,10 +205,10 @@ def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
             max_depth=int(get("model.max_depth", 8)),
             seed=seed,
         ),
-        no_cluster=bool(get("ablation.no_cluster", False)),
-        r1_delta=bool(get("agent.r1_delta", False)),
-        euclidean_distance=bool(get("ablation.euclidean_distance", False)),
-        reset_per_epoch=bool(getattr(args, "reset_per_epoch", False) or get("reset_per_epoch", False)),
+        no_cluster=flag("ablation.no_cluster"),
+        r1_delta=flag("agent.r1_delta"),
+        euclidean_distance=flag("ablation.euclidean_distance"),
+        reset_per_epoch=flag("reset_per_epoch") or getattr(args, "reset_per_epoch", False),
         seed=seed,
         out_dir=getattr(args, "out", None),
     )

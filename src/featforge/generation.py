@@ -78,8 +78,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.top_k_pairs != "auto" and int(self.top_k_pairs) < 1:
             raise ValueError("top_k_pairs must be >= 1")
-        if self.size_tolerance_factor <= 1.0:
-            raise ValueError("size_tolerance_factor must exceed 1")
+        if not 1.0 < self.size_tolerance_factor < np.inf:
+            raise ValueError("size_tolerance_factor must be finite and exceed 1")
 
 
 def _candidate_pairs(c1: FeatureGroup, c2: FeatureGroup) -> list[tuple[int, int]]:
@@ -219,7 +219,7 @@ def size_control(
     """Cap the table at floor(tolerance_factor * original_count) columns."""
     if original_count < 1:
         raise ValueError("original_count must be >= 1")
-    cap = int(np.floor(cfg.size_tolerance_factor * original_count))
-    if features.n_features > cap:
-        return kbest_select(features, target, cap, mi=mi)
+    limit = cfg.size_tolerance_factor * original_count  # may overflow to inf
+    if features.n_features > limit:
+        return kbest_select(features, target, int(np.floor(limit)), mi=mi)
     return features

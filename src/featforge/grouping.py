@@ -60,20 +60,13 @@ def group_distance(
     cols = sorted(set(c1.indices) | set(c2.indices))
     names, values = [names[i] for i in cols], values[:, cols]
     g1, g2 = (tuple(cols.index(i) for i in c.indices) for c in (c1, c2))
-    return _distance_from_tables(g1, g2, mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
+    singles = _single_distances(mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
+    return float(np.mean(singles[np.ix_(g1, g2)]))
 
 
-def _distance_from_tables(
-    g1: tuple[int, ...],
-    g2: tuple[int, ...],
-    pair_mi: np.ndarray,
-    target_mi: np.ndarray,
-    epsilon: float,
-) -> float:
-    """The group distance read from tables of pairwise and target MI."""
-    rel_diff = np.abs(target_mi[np.array(g1)][:, None] - target_mi[np.array(g2)][None, :])
-    red = pair_mi[np.ix_(g1, g2)]
-    return float(np.mean(rel_diff / (red + epsilon)))
+def _single_distances(pair_mi: np.ndarray, target_mi: np.ndarray, epsilon: float) -> np.ndarray:
+    """n x n distances between single features; a group distance is the mean of a block."""
+    return np.abs(target_mi[:, None] - target_mi[None, :]) / (pair_mi + epsilon)
 
 
 def _euclidean_group_distance(g1, g2, features: np.ndarray) -> float:
@@ -113,12 +106,11 @@ def m_cluster(
     upper = np.triu_indices(n, 1)
     dist = np.full((n, n), np.inf)
     if metric == "relevance_redundancy":
-        pair_mi, target_mi = mi.pair_mi(names, values), mi.target_mi(names, values)
+        singles = _single_distances(mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
 
         def group_dist(g1, g2):
-            return _distance_from_tables(g1, g2, pair_mi, target_mi, epsilon)
+            return float(np.mean(singles[np.ix_(g1, g2)]))
 
-        singles = np.abs(target_mi[:, None] - target_mi[None, :]) / (pair_mi + epsilon)
         dist[upper] = singles[upper]
     elif metric == "euclidean":
 

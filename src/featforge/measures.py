@@ -7,35 +7,16 @@ is cut into min(16, max(2, floor(sqrt(m)))) equal-frequency bins.  All MI
 comes from one engine, :class:`MIEngine`: a run creates one for its target,
 which bins each column once and caches target and pairwise MI by column
 expression; a call made without one builds a throwaway engine.  Every other
-function here is pure.
+function here is pure; :func:`descriptive_stats` summarises every row of a
+matrix in one array pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 _NEG_TOL = 1e-12
 N_BINS = 16  # the most bins a column is cut into
-
-
-@dataclass(frozen=True)
-class StatVector7:
-    """count, std, min, max, q1, q2, q3 of a vector."""
-
-    count: float
-    std: float
-    min: float
-    max: float
-    q1: float
-    q2: float
-    q3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.count, self.std, self.min, self.max, self.q1, self.q2, self.q3]
-        )
 
 
 def _check_vector(x, name="x") -> np.ndarray:
@@ -230,18 +211,17 @@ def abs_correlations(values) -> np.ndarray:
     return a
 
 
-def descriptive_stats(x) -> StatVector7:
-    """count / std / min / max / quartiles (linear-interpolation quantiles)."""
-    x = _check_vector(x)
-    n = len(x)
-    std = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    q1, q2, q3 = np.quantile(x, [0.25, 0.5, 0.75])
-    return StatVector7(
-        count=float(n),
-        std=std,
-        min=float(x.min()),
-        max=float(x.max()),
-        q1=float(q1),
-        q2=float(q2),
-        q3=float(q3),
-    )
+def descriptive_stats(rows) -> np.ndarray:
+    """7 x r matrix: count, std, min, max, q1, q2, q3 of each row of an r x k matrix.
+
+    A vector counts as one row.  The std has ddof=1 (0 for a one-value row)
+    and the quartiles interpolate linearly.  Each row is reduced along its own
+    contiguous memory, so its statistics equal those of the row taken alone.
+    """
+    rows = np.ascontiguousarray(np.atleast_2d(np.asarray(rows, dtype=float)))
+    if rows.size == 0:
+        raise ValueError("rows must be non-empty")
+    r, k = rows.shape
+    std = np.std(rows, axis=1, ddof=1) if k > 1 else np.zeros(r)
+    quartiles = np.quantile(rows, [0.25, 0.5, 0.75], axis=1)
+    return np.vstack([np.full(r, float(k)), std, rows.min(axis=1), rows.max(axis=1), quartiles])

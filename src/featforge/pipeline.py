@@ -10,6 +10,7 @@ step records by construction.  Also exports the traceable best feature set.
 
 from __future__ import annotations
 
+import csv
 import json
 import numbers
 import os
@@ -309,12 +310,9 @@ def export_trace(best: BestFeatureSet, out_dir: str) -> tuple[str, str]:
             }
             fh.write(json.dumps(rec) + "\n")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)  # writes each float as its repr
         writer.writerow(best.table.names)
-        for row in best.table.values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(best.table.values.tolist())
     return trace_path, csv_path
 
 

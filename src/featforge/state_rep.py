@@ -1,10 +1,12 @@
 """Fixed-length state encodings of feature sets, groups, and operations.
 
-Three encoders: ``ds`` (two-pass descriptive statistics, 49 values), ``ae``
-(column-then-row autoencoder bottleneck), ``gae`` (one-layer graph
-convolutional autoencoder over the feature correlation graph).  Concatenated
-variants ``ds+ae`` and ``ds+ae+gae`` are also supported.  ds is pure; ae/gae
-own training state and are warm-started between calls.  A change of the input's
+Three part encoders: ``ds`` (descriptive statistics of the columns'
+descriptive statistics, 49 values, two array passes), ``ae`` (column-then-row
+autoencoder bottleneck), ``gae`` (one-layer graph convolutional autoencoder
+over the feature correlation graph).  Each has a ``length`` and an
+``encode(features)`` that returns exactly that many values; ``StateEncoder``
+concatenates them for ``ds+ae`` and ``ds+ae+gae``.  ds is pure; ae/gae own
+training state and are warm-started between calls.  A change of the input's
 row count rebuilds a network from its seed; a change of its column count keeps
 the learned weights and Adam state (the ae resizes its width-dependent tensors)
 and fine-tunes them.
@@ -58,18 +60,14 @@ class EncoderConfig:
 
 
 def rep_ds(features) -> StateVector:
-    """Descriptive statistics of descriptive statistics, flattened to 49 values."""
+    """Descriptive statistics of descriptive statistics, flattened to 49 values.
+
+    Row i of the 7 x 7 result holds the statistics of stat i over the columns.
+    """
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
         features = features[:, None]
-    if features.size == 0:
-        raise ValueError("empty feature matrix")
-    col_stats = np.column_stack(
-        [descriptive_stats(features[:, j]).as_array() for j in range(features.shape[1])]
-    )  # 7 x n
-    meta = np.column_stack(
-        [descriptive_stats(col_stats[i, :]).as_array() for i in range(7)]
-    ).T  # 7 x 7, row i = stats of stat-row i
+    meta = descriptive_stats(descriptive_stats(features.T)).T
     return StateVector(values=meta.ravel(), method="ds")
 
 
@@ -229,6 +227,9 @@ class GraphAutoencoderEncoder:
 
     Its one weight ``w`` is (rows x gae_dim), so only a row-count change
     rebuilds it; across column counts it is fine-tuned with its Adam state.
+    A one-column input has no graph: its state is the 49-value ds vector
+    folded to ``gae_dim`` values (entry i adds into i mod gae_dim, so a wider
+    gae pads with zeros).
     """
 
     adjacency = staticmethod(abs_correlations)
@@ -282,7 +283,9 @@ class GraphAutoencoderEncoder:
         if n < 2:
             # a one-column group is a normal M-Clustering result
             log.debug("gae needs >= 2 features (got %d); falling back to ds", n)
-            return rep_ds(features)
+            ds, width = rep_ds(features).values, self.cfg.gae_dim
+            folded = np.bincount(np.arange(DS_LENGTH) % width, weights=ds, minlength=width)
+            return StateVector(values=folded, method="gae")
         a = self.adjacency(features)
         msg = self._message_matrix(features, a)
         epochs = self.cfg.incremental_epochs
@@ -295,8 +298,26 @@ class GraphAutoencoderEncoder:
         return StateVector(values=z.mean(axis=0), method="gae")
 
 
+class DescriptiveStatsEncoder:
+    """The ``ds`` part; it is pure and keeps no state."""
+
+    length = DS_LENGTH
+    encode = staticmethod(rep_ds)
+
+    def __init__(self, cfg: EncoderConfig):
+        self.cfg = cfg
+
+
+_PARTS = {"ds": DescriptiveStatsEncoder, "ae": AutoencoderEncoder, "gae": GraphAutoencoderEncoder}
+
+
 class StateEncoder:
-    """Dispatch on the configured method, including concatenated variants."""
+    """The configured parts, concatenated; ``ds+ae+gae`` is ds, then ae, then gae.
+
+    Every part encoder has a ``length`` and an ``encode(features)`` that
+    returns exactly ``length`` values.  Each scope keeps its own list of part
+    encoders, so the whole set and the group submatrices warm-start apart.
+    """
 
     METHODS = ("ds", "ae", "gae", "ds+ae", "ds+ae+gae")
 
@@ -305,51 +326,19 @@ class StateEncoder:
             raise ValueError(f"unknown state method {method!r}")
         self.method = method
         self.cfg = cfg or EncoderConfig()
-        self._parts = method.split("+")
-        # separate warm-started encoders for the whole set vs. group submatrices
-        self._ae: dict[str, AutoencoderEncoder] = {}
-        self._gae: dict[str, GraphAutoencoderEncoder] = {}
+        self._scopes: dict[str, list] = {}
+
+    def _parts(self, scope: str) -> list:
+        parts = self._scopes.get(scope)
+        if parts is None:
+            parts = self._scopes[scope] = [_PARTS[p](self.cfg) for p in self.method.split("+")]
+        return parts
 
     @property
     def length(self) -> int:
-        total = 0
-        for part in self._parts:
-            if part == "ds":
-                total += DS_LENGTH
-            elif part == "ae":
-                total += self.cfg.ae_col_dim * self.cfg.ae_row_dim
-            else:
-                total += self.cfg.gae_dim
-        return total
+        return sum(part.length for part in self._parts("set"))
 
     def encode(self, features, scope: str = "set") -> StateVector:
         """Encode a feature matrix; ``scope`` keys warm-started network state."""
-        pieces = []
-        for part in self._parts:
-            if part == "ds":
-                pieces.append(rep_ds(features).values)
-            elif part == "ae":
-                enc = self._ae.setdefault(scope, AutoencoderEncoder(self.cfg))
-                pieces.append(enc.encode(features).values)
-            else:
-                enc = self._gae.setdefault(scope, GraphAutoencoderEncoder(self.cfg))
-                vec = enc.encode(features).values
-                # singleton-group fallback returns a ds vector; fold it to the
-                # gae width so agent input sizes stay fixed
-                if len(vec) != self.cfg.gae_dim:
-                    vec = _fit_length(vec, self.cfg.gae_dim)
-                pieces.append(vec)
+        pieces = [part.encode(features).values for part in self._parts(scope)]
         return StateVector(values=np.concatenate(pieces), method=self.method)
-
-
-def _fit_length(vec: np.ndarray, length: int) -> np.ndarray:
-    if len(vec) == length:
-        return vec
-    if len(vec) > length:
-        # fold by summing strided slices so all entries contribute
-        out = np.zeros(length)
-        for i in range(0, len(vec), length):
-            chunk = vec[i : i + length]
-            out[: len(chunk)] += chunk
-        return out
-    return np.pad(vec, (0, length - len(vec)))

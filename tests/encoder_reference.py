@@ -1,23 +1,101 @@
-"""The state autoencoders as they were before warm starts crossed width changes.
+"""The state layer as it was before its encoders shared one contract.
 
 `AutoencoderEncoder` and `GraphAutoencoderEncoder` are the former
-`state_rep` classes and `pearson_abs` the former `measures.pearson_abs`,
-verbatim. Both encoders rebuild from their seed whenever the input's row or
-column count changes. The tests require the current encoders to match them
-with `==` over inputs of one shape, and `measures.abs_correlations` to match
-the per-pair loop of `GraphAutoencoderEncoder.adjacency`.
+`state_rep` classes from before warm starts crossed width changes, and
+`pearson_abs` the former `measures.pearson_abs`, verbatim. Both encoders
+rebuild from their seed whenever the input's row or column count changes.
+`StatVector7`, `descriptive_stats` (one vector per call) and `rep_ds` (one
+call per column and per stat) are the former `measures` and `state_rep`
+functions, and `_fit_length` the former `StateEncoder` fold of the gae's
+one-column ds fallback, all verbatim. The tests require the current encoders
+to match these with `==` over inputs of one shape, `measures.abs_correlations`
+to match the per-pair loop of `GraphAutoencoderEncoder.adjacency`, and the
+current array-pass statistics and gae fold to match these per-call versions
+on the seeded matrices of `stat_inputs`.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from featforge.nnet import AdamState, adam_update, bce, mse
-from featforge.state_rep import EncoderConfig, StateVector, rep_ds
+from featforge.state_rep import EncoderConfig, StateVector
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class StatVector7:
+    """count, std, min, max, q1, q2, q3 of a vector."""
+
+    count: float
+    std: float
+    min: float
+    max: float
+    q1: float
+    q2: float
+    q3: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array(
+            [self.count, self.std, self.min, self.max, self.q1, self.q2, self.q3]
+        )
+
+
+def _check_vector(x, name="x") -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    return x.ravel()
+
+
+def descriptive_stats(x) -> StatVector7:
+    """count / std / min / max / quartiles (linear-interpolation quantiles)."""
+    x = _check_vector(x)
+    n = len(x)
+    std = float(np.std(x, ddof=1)) if n > 1 else 0.0
+    q1, q2, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+    return StatVector7(
+        count=float(n),
+        std=std,
+        min=float(x.min()),
+        max=float(x.max()),
+        q1=float(q1),
+        q2=float(q2),
+        q3=float(q3),
+    )
+
+
+def rep_ds(features) -> StateVector:
+    """Descriptive statistics of descriptive statistics, flattened to 49 values."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim == 1:
+        features = features[:, None]
+    if features.size == 0:
+        raise ValueError("empty feature matrix")
+    col_stats = np.column_stack(
+        [descriptive_stats(features[:, j]).as_array() for j in range(features.shape[1])]
+    )  # 7 x n
+    meta = np.column_stack(
+        [descriptive_stats(col_stats[i, :]).as_array() for i in range(7)]
+    ).T  # 7 x 7, row i = stats of stat-row i
+    return StateVector(values=meta.ravel(), method="ds")
+
+
+def _fit_length(vec: np.ndarray, length: int) -> np.ndarray:
+    if len(vec) == length:
+        return vec
+    if len(vec) > length:
+        # fold by summing strided slices so all entries contribute
+        out = np.zeros(length)
+        for i in range(0, len(vec), length):
+            chunk = vec[i : i + length]
+            out[: len(chunk)] += chunk
+        return out
+    return np.pad(vec, (0, length - len(vec)))
 
 
 def pearson_abs(x, y) -> float:
@@ -210,3 +288,21 @@ class GraphAutoencoderEncoder:
             self._train_step(msg, a)
         z = self._forward(msg)[1]
         return StateVector(values=z.mean(axis=0), method="gae")
+
+
+def stat_inputs():
+    """Seeded matrices for the statistics oracle: m=1, n=1, constant columns, ties, huge values."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = (1, 2, 3, 7, 40, 401)[seed % 6]
+        n = (1, 2, 5, 13)[seed % 4]
+        f = rng.normal(size=(m, n))
+        if seed % 3 == 0 and n > 1:
+            f[:, 1] = 3.0  # a constant column
+        if seed % 5 == 0:
+            f = np.round(f * 2)  # integer ties
+        if seed % 7 == 0:
+            f = f**3 * 1e6
+        if seed % 11 == 0:
+            f = f * 1e18
+        yield f

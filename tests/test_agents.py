@@ -58,6 +58,20 @@ class TestAgentConfig:
         with pytest.raises(ValueError):
             AgentConfig(kind="sarsa")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon_start", 1.5), ("epsilon_start", -0.1), ("epsilon_min", 2.0), ("epsilon_min", float("nan")),
+            ("epsilon_decay", 0.0), ("epsilon_decay", 2.0), ("target_sync_every", 0),
+        ],
+    )
+    def test_schedule_bounds(self, field, value):
+        with pytest.raises(ValueError):
+            AgentConfig(**{field: value})
+
+    def test_schedule_edges_allowed(self):
+        AgentConfig(epsilon_start=1.0, epsilon_min=0.0, epsilon_decay=1.0, target_sync_every=1)
+
 
 class TestEpsilonSchedule:
     def test_formula(self):

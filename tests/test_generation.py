@@ -247,10 +247,19 @@ class TestSizeControl:
         with pytest.raises(ValueError):
             size_control(t, 0, y)
 
+    def test_fractional_and_huge_factors(self):
+        rng = np.random.default_rng(8)
+        y = rng.normal(size=30)
+        t = make_table(rng.normal(size=(30, 8)), tuple(f"f{i}" for i in range(8)))
+        assert size_control(t, 5, y, GenerationConfig(size_tolerance_factor=1.5)).n_features == 7  # floor(7.5)
+        # the cap overflows to inf: nothing to drop, and no OverflowError
+        assert size_control(t, 5, y, GenerationConfig(size_tolerance_factor=1e308)) is t
+
 
 class TestGenerationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             GenerationConfig(top_k_pairs=0)
-        with pytest.raises(ValueError):
-            GenerationConfig(size_tolerance_factor=1.0)
+        for factor in (1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                GenerationConfig(size_tolerance_factor=factor)

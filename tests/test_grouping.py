@@ -1,3 +1,4 @@
+import mi_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from featforge.grouping import (
     FeatureGroup,
     GroupPartition,
-    _distance_from_tables,
+    _single_distances,
     group_distance,
     group_relevance,
     m_cluster,
@@ -51,7 +52,7 @@ class TestGroupDistance:
             c1, c2 = (FeatureGroup(tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))) for _ in range(2))
             mi = MIEngine(target)
             names = range(n)
-            full = _distance_from_tables(
+            full = mi_reference._distance_from_tables(
                 c1.indices, c2.indices, mi.pair_mi(names, features), mi.target_mi(names, features), 1e-6
             )
             assert group_distance(c1, c2, features, target) == full
@@ -66,7 +67,8 @@ class TestGroupDistance:
     def test_derived_substitution(self):
         pair_mi = np.array([[0.9, 0.2], [0.2, 0.8]])
         target_mi = np.array([0.4, 0.1])
-        d = _distance_from_tables((0,), (1,), pair_mi, target_mi, 1e-6)
+        d = _single_distances(pair_mi, target_mi, 1e-6)[0, 1]
+        assert d == mi_reference._distance_from_tables((0,), (1,), pair_mi, target_mi, 1e-6)
         expected = abs(0.4 - 0.1) / (0.2 + 1e-6)
         assert abs(d - expected) < 1e-12
         assert abs(d - 1.4999925000374998) < 1e-12

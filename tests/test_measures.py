@@ -432,29 +432,41 @@ class TestPearsonAbs:
 
 class TestDescriptiveStats:
     def test_derived_1234(self):
-        s = descriptive_stats([1, 2, 3, 4])
-        assert s.count == 4
-        assert abs(s.std - 1.2909944487358056) < 1e-12
-        assert s.min == 1 and s.max == 4
-        assert (s.q1, s.q2, s.q3) == (1.75, 2.5, 3.25)
+        count, std, lo, hi, q1, q2, q3 = descriptive_stats([1, 2, 3, 4])[:, 0]
+        assert count == 4
+        assert abs(std - 1.2909944487358056) < 1e-12
+        assert lo == 1 and hi == 4
+        assert (q1, q2, q3) == (1.75, 2.5, 3.25)
 
     def test_singleton(self):
-        s = descriptive_stats([5])
-        assert s.as_array().tolist() == [1, 0, 5, 5, 5, 5, 5]
+        assert descriptive_stats([5])[:, 0].tolist() == [1, 0, 5, 5, 5, 5, 5]
 
     def test_constant(self):
-        s = descriptive_stats([2, 2, 2, 2])
-        assert s.as_array().tolist() == [4, 0, 2, 2, 2, 2, 2]
+        assert descriptive_stats([2, 2, 2, 2])[:, 0].tolist() == [4, 0, 2, 2, 2, 2, 2]
+
+    def test_one_column_per_row(self):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0]])
+        assert descriptive_stats(rows).shape == (7, 2)
+        assert descriptive_stats(rows)[:, 1].tolist() == [4, 0, 2, 2, 2, 2, 2]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=12)
-        a = descriptive_stats(x).as_array()
-        b = descriptive_stats(rng.permutation(x)).as_array()
+        a = descriptive_stats(x)
+        b = descriptive_stats(rng.permutation(x))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             descriptive_stats([])
+        with pytest.raises(ValueError):
+            descriptive_stats(np.empty((3, 0)))
+
+    def test_rows_match_per_vector_reference(self):
+        """Each row's statistics equal the former one-vector-per-call version, ``==``."""
+        for f in encoder_reference.stat_inputs():
+            rows = f.T
+            expected = np.column_stack([encoder_reference.descriptive_stats(row).as_array() for row in rows])
+            assert np.array_equal(descriptive_stats(rows), expected)

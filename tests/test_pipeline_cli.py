@@ -310,10 +310,25 @@ class TestCli:
             ("cluster", "clustering.epsilon=0\n", None),
             ("run", "epochs=1\nsteps=1\nclustering.stop_threshold=abc\n", None),
             ("cluster", "clustering.stop_threshold=abc\n", None),
+            # a boolean key takes only true or false
+            ("run", "epochs=1\nsteps=1\nablation.random_unary=yes\n", None),
+            ("run", "epochs=1\nsteps=1\nablation.random_binary=1\n", None),
+            ("run", "epochs=1\nsteps=1\nablation.no_cluster=no\n", None),
+            ("run", "epochs=1\nsteps=1\nablation.euclidean_distance=on\n", None),
+            ("run", "epochs=1\nsteps=1\nagent.r1_delta=0\n", None),
+            ("run", "epochs=1\nsteps=1\nreset_per_epoch=off\n", None),
+            # values that used to crash mid-search
+            ("run", "epochs=1\nsteps=2\ngeneration.size_tolerance_factor=inf\n", None),
+            ("run", "epochs=1\nsteps=2\ngeneration.size_tolerance_factor=nan\n", None),
+            ("run", "epochs=1\nsteps=2\nagent.epsilon_decay=2\n", None),
+            ("run", "epochs=1\nsteps=10\nagent.kind=ddqn_dueling\nagent.target_sync=0\n", None),
         ],
         ids=[
             "epochs", "env_seed", "n_trees", "agent_kind",
             "cluster_epsilon", "cluster_zero_epsilon", "stop_threshold", "cluster_stop_threshold",
+            "random_unary_yes", "random_binary_1", "no_cluster_no", "euclidean_distance_on",
+            "r1_delta_0", "reset_per_epoch_off",
+            "size_tolerance_inf", "size_tolerance_nan", "epsilon_decay_2", "target_sync_0",
         ],
     )
     def test_malformed_config_value_usage_error(

@@ -13,7 +13,6 @@ from featforge.state_rep import (
     GraphAutoencoderEncoder,
     StateEncoder,
     StateVector,
-    _fit_length,
     compose_state,
     rep_ds,
     rep_operation,
@@ -56,6 +55,11 @@ class TestRepDs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rep_ds(np.empty((0, 3)))
+
+    def test_matches_per_column_reference(self):
+        """The two array passes give the former per-column, per-stat result, ``==``."""
+        for f in encoder_reference.stat_inputs():
+            assert np.array_equal(rep_ds(f).values, encoder_reference.rep_ds(f).values)
 
 
 class TestRepOperation:
@@ -184,7 +188,7 @@ class TestGraphAutoencoder:
         enc = GraphAutoencoderEncoder(EncoderConfig())
         with caplog.at_level(logging.DEBUG, logger="featforge.state_rep"):
             v = enc.encode(random_features(8, n=1))
-        assert len(v) == DS_LENGTH
+        assert len(v) == enc.length
         assert [r.levelno for r in caplog.records if "falling back" in r.message] == [logging.DEBUG]
 
     def test_gradients_match_finite_differences(self):
@@ -242,21 +246,47 @@ class TestStateEncoder:
         enc = StateEncoder("ae")
         enc.encode(random_features(n=5), scope="set")
         enc.encode(random_features(n=2), scope="group")
-        assert enc._ae["set"]._shape != enc._ae["group"]._shape
+        (set_ae,), (group_ae,) = enc._scopes["set"], enc._scopes["group"]
+        assert set_ae._shape != group_ae._shape
 
 
 class TestFitLength:
+    """A one-column gae state is the ds vector folded to ``gae_dim``, as ``_fit_length`` folded it."""
+
+    @staticmethod
+    def one_column_state(gae_dim):
+        col = random_features(8, n=1)
+        ds = encoder_reference.rep_ds(col).values
+        return GraphAutoencoderEncoder(EncoderConfig(gae_dim=gae_dim)).encode(col).values, ds
+
     def test_identity(self):
-        v = np.arange(4.0)
-        assert _fit_length(v, 4) is v
+        v, ds = self.one_column_state(DS_LENGTH)
+        assert np.array_equal(v, ds)
 
     def test_fold(self):
-        out = _fit_length(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
-        assert np.array_equal(out, [1 + 3 + 5, 2 + 4])
+        v, ds = self.one_column_state(2)
+        assert v.tolist() == [sum(ds[0::2].tolist()), sum(ds[1::2].tolist())]
+        assert np.array_equal(v, encoder_reference._fit_length(ds, 2))
 
     def test_pad(self):
-        out = _fit_length(np.array([1.0]), 3)
-        assert np.array_equal(out, [1.0, 0.0, 0.0])
+        v, ds = self.one_column_state(64)
+        assert np.array_equal(v, encoder_reference._fit_length(ds, 64))
+        assert np.array_equal(v[:DS_LENGTH], ds) and not v[DS_LENGTH:].any()
+
+    @pytest.mark.parametrize("gae_dim", [16, 64])
+    def test_group_encode_matches_reference(self, gae_dim):
+        """A one-column ``ds+ae+gae`` group state equals the former dispatch's, call after call."""
+        cfg = EncoderConfig(gae_dim=gae_dim, seed=21)
+        enc = StateEncoder("ds+ae+gae", cfg)
+        ref_ae, ref_gae = encoder_reference.AutoencoderEncoder(cfg), encoder_reference.GraphAutoencoderEncoder(cfg)
+        for seed in range(3):
+            col = random_features(seed, m=40, n=1)
+            expected = np.concatenate([
+                encoder_reference.rep_ds(col).values,
+                ref_ae.encode(col).values,
+                encoder_reference._fit_length(ref_gae.encode(col).values, gae_dim),
+            ])
+            assert np.array_equal(enc.encode(col, scope="group").values, expected)
 
 
 class TestExactAdam:
