@@ -40,12 +40,9 @@ class AgentConfig:
     epsilon_start: float = 0.9
     epsilon_min: float = 0.05
     epsilon_decay: float = 0.95
-    memory_capacity: int = 32
     batch_size: int = 8
     target_sync_every: int = 10
     entropy_beta: float = 0.01
-    hidden: tuple[int, int] = (64, 64)
-    learning_rate: float = 0.01
     kind: str = "dqn"  # dqn | ddqn_dueling | actor_critic
     seed: int = 0
 
@@ -56,8 +53,10 @@ class AgentConfig:
             raise ValueError("epsilon_start and epsilon_min must be in [0, 1]")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in (0, 1]")
-        if self.memory_capacity < 1 or self.batch_size < 1 or self.target_sync_every < 1:
-            raise ValueError("capacities and target_sync_every must be positive")
+        if self.batch_size < 1 or self.target_sync_every < 1:
+            raise ValueError("batch_size and target_sync_every must be positive")
+        if not 0.0 <= self.entropy_beta < np.inf:
+            raise ValueError("entropy_beta must be finite and >= 0")
         if self.kind not in ("dqn", "ddqn_dueling", "actor_critic"):
             raise ValueError(f"unknown agent kind {self.kind!r}")
 
@@ -284,6 +283,11 @@ def ac_update(
     return critic_loss, objective
 
 
+HIDDEN = (64, 64)      # widths of each network's two hidden layers
+LEARNING_RATE = 0.01   # Adam step size of every network
+MEMORY_CAPACITY = 32   # transitions each agent's replay memory keeps
+
+
 class CascadeAgent:
     """One of the three cascading agents; owns its networks and replay memory."""
 
@@ -293,11 +297,11 @@ class CascadeAgent:
         self.candidate_width = candidate_width
         self._rng = np.random.default_rng(cfg.seed)
         in_q = state_width + candidate_width
-        h1, h2 = cfg.hidden
+        h1, h2 = HIDDEN
         acts = ("relu", "relu", "linear")
         if cfg.kind == "dqn":
             self.q_net = init_net((in_q, h1, h2, 1), acts, cfg.seed)
-            self.adam = AdamState(learning_rate=cfg.learning_rate)
+            self.adam = AdamState(learning_rate=LEARNING_RATE)
         elif cfg.kind == "ddqn_dueling":
             self.online = DuelingNets(
                 v_net=init_net((state_width, h1, h2, 1), acts, cfg.seed),
@@ -306,16 +310,16 @@ class CascadeAgent:
             self.target = DuelingNets(
                 v_net=self.online.v_net.copy(), a_net=self.online.a_net.copy()
             )
-            self.adam_v = AdamState(learning_rate=cfg.learning_rate)
-            self.adam_a = AdamState(learning_rate=cfg.learning_rate)
+            self.adam_v = AdamState(learning_rate=LEARNING_RATE)
+            self.adam_a = AdamState(learning_rate=LEARNING_RATE)
             self._updates = 0
         else:
             self.actor = init_net((in_q, h1, h2, 1), acts, cfg.seed)
             self.critic = init_net((state_width, h1, h2, 1), acts, cfg.seed + 1)
-            self.adam_actor = AdamState(learning_rate=cfg.learning_rate)
-            self.adam_critic = AdamState(learning_rate=cfg.learning_rate)
+            self.adam_actor = AdamState(learning_rate=LEARNING_RATE)
+            self.adam_critic = AdamState(learning_rate=LEARNING_RATE)
         self.memory = ReplayMemory(
-            cfg.memory_capacity, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
+            MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
         )
 
     def select(self, state: StateVector, candidates, epsilon: float) -> tuple[int, float]:

@@ -10,21 +10,18 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from featforge.agents import AgentConfig
 from featforge.data_core import DataError, Task, load_csv, make_split
 from featforge.evaluator import ModelSpec, evaluate_predictions, predict_test_side
-from featforge.generation import GenerationConfig
-from featforge.grouping import DEFAULT_EPSILON, m_cluster
+from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr
-from featforge.pipeline import ClusterConfig, PipelineConfig, run_grfg, run_rdg_baseline
-from featforge.state_rep import EncoderConfig
+from featforge.pipeline import TEST_FRACTION, PipelineConfig, run_grfg, run_rdg_baseline
 
 TASK_ALIASES = {
     "cls": Task.CLASSIFICATION,
@@ -43,20 +40,74 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_value(raw: str):
-    low = raw.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            pass
-    return low
+def _integer(text: str) -> int:
+    """An integer literal, or a finite real with no fractional part ("1e3", "10.0")."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _auto_or(parse):
+    return lambda text: text if text == "auto" else parse(text)
+
+
+# config-file key -> (section, field, parser). The section is the PipelineConfig
+# field that holds the setting's dataclass, or None for PipelineConfig itself.
+# Parsers only convert text; each dataclass holds its defaults and range checks.
+CONFIG_KEYS = {
+    "epochs": (None, "epochs", _integer),
+    "steps": (None, "steps_per_epoch", _integer),
+    "seed": (None, "seed", _integer),
+    "state.method": (None, "state_method", str),
+    "ablation.no_cluster": (None, "no_cluster", _boolean),
+    "ablation.euclidean_distance": (None, "euclidean_distance", _boolean),
+    "agent.r1_delta": (None, "r1_delta", _boolean),
+    "reset_per_epoch": (None, "reset_per_epoch", _boolean),
+    "state.ae_k": ("encoder", "ae_col_dim", _integer),
+    "state.ae_d": ("encoder", "ae_row_dim", _integer),
+    "state.gae_k": ("encoder", "gae_dim", _integer),
+    "state.train_epochs": ("encoder", "train_epochs", _integer),
+    "agent.kind": ("agent", "kind", str),
+    "agent.gamma": ("agent", "gamma", float),
+    "agent.epsilon_start": ("agent", "epsilon_start", float),
+    "agent.epsilon_min": ("agent", "epsilon_min", float),
+    "agent.epsilon_decay": ("agent", "epsilon_decay", float),
+    "agent.beta": ("agent", "entropy_beta", float),
+    "agent.target_sync": ("agent", "target_sync_every", _integer),
+    "generation.top_k_pairs": ("generation", "top_k_pairs", _auto_or(_integer)),
+    "generation.size_tolerance_factor": ("generation", "size_tolerance_factor", float),
+    "ablation.random_unary": ("generation", "random_unary", _boolean),
+    "ablation.random_binary": ("generation", "random_binary", _boolean),
+    "clustering.stop_threshold": ("clustering", "stop_threshold", _auto_or(float)),
+    "clustering.epsilon": ("clustering", "epsilon", float),
+    "model.n_trees": ("model", "n_trees", _integer),
+    "model.max_depth": ("model", "max_depth", _integer),
+}
+# each section's dataclass, which is its field's default factory
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig) if f.default_factory is not MISSING}
+
+
+def _parse(key: str, text: str):
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return CONFIG_KEYS[key][2](text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment. Returns each key's parsed value."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -64,9 +115,9 @@ def read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise _UsageError(f"bad config line: {line!r}")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = _parse_value(raw)
+                raise ValueError(f"bad config line: {line!r}")
+            key, text = (part.strip() for part in line.split("=", 1))
+            values[key] = _parse(key, text)
     return values
 
 
@@ -115,111 +166,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _usage_errors(build):
-    """Report a ValueError from reading a config value as a usage error."""
+def _config(args) -> PipelineConfig:
+    """The command's settings: the --config file's keys, FEATFORGE_SEED when no
+    seed is given, explicit flags over both and dataclass defaults for the rest.
 
-    @functools.wraps(build)
-    def checked(args, file_cfg: dict):
-        try:
-            return build(args, file_cfg)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-
-    return checked
-
-
-@_usage_errors
-def _resolve_seed(args, file_cfg: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in file_cfg:
-        return int(file_cfg["seed"])
-    env = os.environ.get("FEATFORGE_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-@_usage_errors
-def _cluster_config(args, file_cfg: dict) -> ClusterConfig:
-    return ClusterConfig(
-        stop_threshold=file_cfg.get("clustering.stop_threshold", "auto"),
-        epsilon=float(file_cfg.get("clustering.epsilon", DEFAULT_EPSILON)),
-    )
-
-
-@_usage_errors
-def _pipeline_config(args, file_cfg: dict) -> PipelineConfig:
-    def get(key, default):
-        return file_cfg.get(key, default)
-
-    def flag(key):
-        value = file_cfg.get(key, False)
-        if not isinstance(value, bool):
-            raise _UsageError(f"{key} must be true or false, got {value!r}")
-        return value
-
-    epochs = getattr(args, "epochs", None)
-    if epochs is None:
-        epochs = int(get("epochs", 30))
-    steps = getattr(args, "steps", None)
-    if steps is None:
-        steps = int(get("steps", 15))
-    if epochs < 1 or steps < 1:
-        raise _UsageError("epochs and steps must be >= 1")
-    agent_flag = getattr(args, "agent", None)
-    if agent_flag is not None:
-        agent_kind = AGENT_ALIASES[agent_flag]
-    else:
-        agent_kind = str(get("agent.kind", "dqn"))
-    state_method = getattr(args, "state", None) or str(get("state.method", "ds"))
-    seed = _resolve_seed(args, file_cfg)
-    return PipelineConfig(
-        epochs=epochs,
-        steps_per_epoch=steps,
-        state_method=state_method,
-        encoder=EncoderConfig(
-            ae_col_dim=int(get("state.ae_k", 8)),
-            ae_row_dim=int(get("state.ae_d", 8)),
-            gae_dim=int(get("state.gae_k", 16)),
-            train_epochs=int(get("state.train_epochs", 20)),
-        ),
-        agent=AgentConfig(
-            kind=str(agent_kind),
-            gamma=float(get("agent.gamma", 0.9)),
-            epsilon_start=float(get("agent.epsilon_start", 0.9)),
-            epsilon_min=float(get("agent.epsilon_min", 0.05)),
-            epsilon_decay=float(get("agent.epsilon_decay", 0.95)),
-            entropy_beta=float(get("agent.beta", 0.01)),
-            target_sync_every=int(get("agent.target_sync", 10)),
-        ),
-        generation=GenerationConfig(
-            top_k_pairs=get("generation.top_k_pairs", "auto"),
-            size_tolerance_factor=float(get("generation.size_tolerance_factor", 2.0)),
-            random_unary=flag("ablation.random_unary"),
-            random_binary=flag("ablation.random_binary"),
-        ),
-        clustering=_cluster_config(args, file_cfg),
-        model=ModelSpec(
-            n_trees=int(get("model.n_trees", 10)),
-            max_depth=int(get("model.max_depth", 8)),
-            seed=seed,
-        ),
-        no_cluster=flag("ablation.no_cluster"),
-        r1_delta=flag("agent.r1_delta"),
-        euclidean_distance=flag("ablation.euclidean_distance"),
-        reset_per_epoch=flag("reset_per_epoch") or getattr(args, "reset_per_epoch", False),
-        seed=seed,
-        out_dir=getattr(args, "out", None),
-    )
+    The model's seed is the run's seed. Any bad value is a usage error.
+    """
+    try:
+        values = read_config_file(args.config) if args.config else {}
+        flags = {
+            "epochs": getattr(args, "epochs", None),
+            "steps": getattr(args, "steps", None),
+            "seed": args.seed,
+            "agent.kind": AGENT_ALIASES.get(getattr(args, "agent", None)),
+            "state.method": getattr(args, "state", None),
+            "reset_per_epoch": getattr(args, "reset_per_epoch", False) or None,
+        }
+        values.update((key, value) for key, value in flags.items() if value is not None)
+        if "seed" not in values and "FEATFORGE_SEED" in os.environ:
+            values["seed"] = _parse("seed", os.environ["FEATFORGE_SEED"])
+        top, sections = {}, {name: {} for name in _SECTIONS}
+        for key, value in values.items():
+            section, name, _ = CONFIG_KEYS[key]
+            (sections[section] if section else top)[name] = value
+        cfg = PipelineConfig(
+            **top,
+            **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
+            out_dir=getattr(args, "out", None),
+        )
+        return replace(cfg, model=replace(cfg.model, seed=cfg.seed))
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _load(args):
     return load_csv(args.data, args.target, TASK_ALIASES[args.task])
 
 
-def _cmd_run(args, file_cfg):
-    cfg = _pipeline_config(args, file_cfg)
+def _cmd_run(args):
+    cfg = _config(args)
     dataset = _load(args)
     report, best = run_grfg(dataset, cfg)
     print(json.dumps({
@@ -233,8 +218,8 @@ def _cmd_run(args, file_cfg):
     return 0
 
 
-def _cmd_baseline(args, file_cfg):
-    cfg = _pipeline_config(args, file_cfg)
+def _cmd_baseline(args):
+    cfg = _config(args)
     dataset = _load(args)
     report, best = run_rdg_baseline(dataset, cfg)
     print(json.dumps({
@@ -247,8 +232,8 @@ def _cmd_baseline(args, file_cfg):
     return 0
 
 
-def _cmd_cluster(args, file_cfg):
-    cfg = _cluster_config(args, file_cfg)
+def _cmd_cluster(args):
+    cfg = _config(args).clustering
     dataset = _load(args)
     partition = m_cluster(
         dataset.samples, dataset.target, stop_threshold=cfg.stop_threshold, epsilon=cfg.epsilon
@@ -260,17 +245,17 @@ def _cmd_cluster(args, file_cfg):
     return 0
 
 
-def _cmd_evaluate(args, file_cfg):
+def _cmd_evaluate(args):
+    seed = _config(args).seed
     dataset = _load(args)
-    seed = _resolve_seed(args, file_cfg)
-    split = make_split(dataset, 0.2, seed)
+    split = make_split(dataset, TEST_FRACTION, seed)
     pred = predict_test_side(dataset.samples, dataset.target, dataset.task, ModelSpec(seed=seed), split)
     result = evaluate_predictions(pred, dataset.target[split.test_indices], dataset.task)
     print(json.dumps({"primary_metric": result.primary_metric, "auxiliary": result.auxiliary}, indent=2))
     return 0
 
 
-def _cmd_trace(args, file_cfg):
+def _cmd_trace(args):
     trace_path = os.path.join(args.run, "trace.jsonl")
     if not os.path.exists(trace_path):
         raise DataError(f"no trace file at {trace_path}")
@@ -313,10 +298,7 @@ def cli_main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    file_cfg = {}
     try:
-        if getattr(args, "config", None):
-            file_cfg = read_config_file(args.config)
         handler = {
             "run": _cmd_run,
             "baseline": _cmd_baseline,
@@ -324,7 +306,7 @@ def cli_main(argv=None) -> int:
             "evaluate": _cmd_evaluate,
             "trace": _cmd_trace,
         }[args.command]
-        return handler(args, file_cfg)
+        return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -26,11 +26,10 @@ class ModelSpec:
     n_trees: int = 10
     max_depth: int = 8
     min_samples_leaf: int = 2
-    knn_k: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_trees, self.max_depth, self.min_samples_leaf, self.knn_k) < 1:
+        if min(self.n_trees, self.max_depth, self.min_samples_leaf) < 1:
             raise ValueError("hyperparameters must be positive")
 
 
@@ -280,7 +279,10 @@ def _standardize(train: np.ndarray, other: np.ndarray):
     return (train - mu) / sd, (other - mu) / sd
 
 
-def knn_anomaly_scores(train_X, test_X, k: int = 5) -> np.ndarray:
+KNN_K = 5  # neighbours whose mean distance is a row's anomaly score
+
+
+def knn_anomaly_scores(train_X, test_X, k: int = KNN_K) -> np.ndarray:
     """Mean distance of each test point to its k nearest train neighbors."""
     train_X = np.asarray(train_X, dtype=float)
     test_X = np.asarray(test_X, dtype=float)
@@ -412,7 +414,7 @@ def predict_test_side(features, target, task: Task, spec: ModelSpec, split: Spli
     if len(tr) == 0 or len(te) == 0:
         raise ValueError("degenerate split")
     if task is Task.OUTLIER_DETECTION:
-        return knn_anomaly_scores(features[tr], features[te], k=min(spec.knn_k, len(tr) - 1))
+        return knn_anomaly_scores(features[tr], features[te], k=min(KNN_K, len(tr) - 1))
     model = train_random_forest(features[tr], target[tr], spec, classification=task is Task.CLASSIFICATION)
     return model.predict(features[te])
 

@@ -9,6 +9,7 @@ feature count.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,8 +77,10 @@ class GenerationConfig:
     random_binary: bool = False  # ablation: pick pairs uniformly at random
 
     def __post_init__(self):
-        if self.top_k_pairs != "auto" and int(self.top_k_pairs) < 1:
-            raise ValueError("top_k_pairs must be >= 1")
+        if self.top_k_pairs != "auto" and not (
+            isinstance(self.top_k_pairs, numbers.Integral) and self.top_k_pairs >= 1
+        ):
+            raise ValueError(f"top_k_pairs must be 'auto' or an integer >= 1, got {self.top_k_pairs!r}")
         if not 1.0 < self.size_tolerance_factor < np.inf:
             raise ValueError("size_tolerance_factor must be finite and exceed 1")
 
@@ -106,7 +109,7 @@ def cross_binary_topk(
     k = cfg.top_k_pairs
     if k == "auto":
         k = min(len(c1), len(c2), 8)
-    k = min(int(k), len(pairs))
+    k = min(k, len(pairs))
     if cfg.random_binary:
         if rng is None:
             rng = np.random.default_rng(0)

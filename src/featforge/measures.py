@@ -165,13 +165,10 @@ def utility_u(features, target, mi: MIEngine | None = None) -> float:
     if m < 2:
         raise ValueError("need at least 2 samples")
     mi_y = mi.target_mi(names, values)
-    pair = mi.pair_mi(names, values).tolist()
-    # sequential sum in row-major order over the upper triangle
-    redundancy = 0.0
-    for i in range(n):
-        redundancy += pair[i][i]
-        for j in range(i + 1, n):
-            redundancy += 2.0 * pair[i][j]
+    rows, cols = np.triu_indices(n)
+    # cumsum adds in order: a sequential sum over the row-major upper triangle
+    terms = np.where(rows == cols, 1.0, 2.0) * mi.pair_mi(names, values)[rows, cols]
+    redundancy = np.cumsum(terms)[-1]
     return float(-redundancy / n**2 + mi_y.mean())
 
 

@@ -35,6 +35,9 @@ from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS, expr_to_string
 from featforge.state_rep import EncoderConfig, StateEncoder, compose_state, rep_operation
 
+TEST_FRACTION = 0.2  # share of rows that V_A scores; the rest fit the model
+FINAL_CV_FOLDS = 5   # folds of the report's cross-validated score of the best set
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -62,14 +65,16 @@ class PipelineConfig:
     euclidean_distance: bool = False   # ablation: mean-vector Euclidean grouping
     r1_delta: bool = False             # alternative: reward agent 1 with the utility change
     reset_per_epoch: bool = False
-    test_fraction: float = 0.2
-    final_cv_folds: int = 5
     seed: int = 0
     out_dir: str | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.steps_per_epoch < 1:
             raise ValueError("epochs and steps_per_epoch must be >= 1")
+        if self.state_method not in StateEncoder.METHODS:
+            raise ValueError(f"unknown state method {self.state_method!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -211,7 +216,7 @@ def _search(dataset: Dataset, cfg: PipelineConfig, method: str, policy):
     rewards it credited, which the step record keeps.
     """
     seeds = np.random.SeedSequence(cfg.seed).generate_state(8).tolist()
-    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
+    split = make_split(dataset, TEST_FRACTION, seed=int(seeds[0]) % 2**31)
     original = FeatureTable.from_dataset(dataset)
     y = dataset.target
     mi = MIEngine(y)
@@ -277,7 +282,7 @@ def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cf
     report.best_score = best.score
     report.best_step = best.step
     report.best_feature_names = list(best.table.names)
-    k = min(cfg.final_cv_folds, dataset.n_rows)
+    k = min(FINAL_CV_FOLDS, dataset.n_rows)
     if k >= 2:
         plan = make_folds(dataset, k, seed=cfg.seed)
         scores = []

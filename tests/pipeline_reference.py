@@ -24,7 +24,7 @@ from featforge.generation import (
 from featforge.grouping import FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS
-from featforge.pipeline import BestFeatureSet, PipelineConfig, RunReport, _finish_report, _write_outputs
+from featforge.pipeline import TEST_FRACTION, BestFeatureSet, PipelineConfig, RunReport, _finish_report, _write_outputs
 from featforge.state_rep import EncoderConfig, StateEncoder, StateVector, compose_state, rep_operation
 
 
@@ -69,7 +69,7 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
     """Run the reinforced search; returns (RunReport, BestFeatureSet)."""
     ss = np.random.SeedSequence(cfg.seed)
     seeds = ss.generate_state(8).tolist()
-    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
+    split = make_split(dataset, TEST_FRACTION, seed=int(seeds[0]) % 2**31)
     original = FeatureTable.from_dataset(dataset)
     d0 = original.n_features
     y = dataset.target
@@ -95,12 +95,9 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
             epsilon_start=cfg.agent.epsilon_start,
             epsilon_min=cfg.agent.epsilon_min,
             epsilon_decay=cfg.agent.epsilon_decay,
-            memory_capacity=cfg.agent.memory_capacity,
             batch_size=cfg.agent.batch_size,
             target_sync_every=cfg.agent.target_sync_every,
             entropy_beta=cfg.agent.entropy_beta,
-            hidden=cfg.agent.hidden,
-            learning_rate=cfg.agent.learning_rate,
             kind=cfg.agent.kind,
             seed=int(seeds[2 + i]) % 2**31,
         )
@@ -216,7 +213,7 @@ def run_rdg_baseline(dataset: Dataset, cfg: PipelineConfig):
     """Matched-budget random feature-operation-feature baseline."""
     ss = np.random.SeedSequence(cfg.seed)
     seeds = ss.generate_state(8).tolist()
-    split = make_split(dataset, cfg.test_fraction, seed=int(seeds[0]) % 2**31)
+    split = make_split(dataset, TEST_FRACTION, seed=int(seeds[0]) % 2**31)
     rng = np.random.default_rng(int(seeds[6]) % 2**31)
     original = FeatureTable.from_dataset(dataset)
     d0 = original.n_features

@@ -63,6 +63,7 @@ class TestAgentConfig:
         [
             ("epsilon_start", 1.5), ("epsilon_start", -0.1), ("epsilon_min", 2.0), ("epsilon_min", float("nan")),
             ("epsilon_decay", 0.0), ("epsilon_decay", 2.0), ("target_sync_every", 0),
+            ("entropy_beta", float("nan")), ("entropy_beta", float("inf")), ("entropy_beta", -0.01),
         ],
     )
     def test_schedule_bounds(self, field, value):

@@ -258,8 +258,9 @@ class TestSizeControl:
 
 class TestGenerationConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GenerationConfig(top_k_pairs=0)
+        for k in (0, 2.5, float("inf"), "3"):
+            with pytest.raises(ValueError):
+                GenerationConfig(top_k_pairs=k)
         for factor in (1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 GenerationConfig(size_tolerance_factor=factor)

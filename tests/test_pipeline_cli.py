@@ -1,20 +1,23 @@
 import json
 import os
+from operator import attrgetter
 
 import numpy as np
 import pipeline_reference
 import pytest
 from csv_writer import save_csv
 
+from featforge import cli
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
 from featforge.data_core import Dataset, Task, load_csv, make_split
 from featforge.evaluator import ModelSpec, downstream_performance
-from featforge.generation import GenerationConfig
+from featforge.generation import FeatureTable, GenerationConfig
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import (
     BestFeatureSet,
     PipelineConfig,
+    RunReport,
     export_trace,
     run_grfg,
     run_rdg_baseline,
@@ -43,6 +46,13 @@ def tiny_config(**overrides):
     defaults = dict(epochs=1, steps_per_epoch=2, seed=0)
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("kwargs", [dict(seed=-1), dict(state_method="foo")])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            PipelineConfig(**kwargs)
 
 
 class TestRunGrfg:
@@ -322,6 +332,26 @@ class TestCli:
             ("run", "epochs=1\nsteps=2\ngeneration.size_tolerance_factor=nan\n", None),
             ("run", "epochs=1\nsteps=2\nagent.epsilon_decay=2\n", None),
             ("run", "epochs=1\nsteps=10\nagent.kind=ddqn_dueling\nagent.target_sync=0\n", None),
+            # a seed below 0, from the file or FEATFORGE_SEED
+            ("run", "epochs=1\nsteps=1\nseed=-1\n", None),
+            ("run", "epochs=1\nsteps=1\n", "-1"),
+            ("evaluate", "seed=-1\n", None),
+            ("evaluate", "", "-1"),
+            # the actor-critic entropy weight must be finite and >= 0
+            ("run", "epochs=1\nsteps=3\nagent.kind=actor_critic\nagent.beta=nan\n", None),
+            ("run", "epochs=1\nsteps=3\nagent.kind=actor_critic\nagent.beta=inf\n", None),
+            ("run", "epochs=1\nsteps=1\nagent.kind=actor_critic\nagent.beta=-1\n", None),
+            # an integer key takes only an integral value
+            ("run", "epochs=1\nsteps=2\ngeneration.top_k_pairs=inf\n", None),
+            ("run", "epochs=1\nsteps=1\ngeneration.top_k_pairs=2.5\n", None),
+            ("run", "epochs=1\nsteps=1\ngeneration.top_k_pairs=true\n", None),
+            ("run", "epochs=1\nsteps=1\nstate.method=ae\nstate.ae_k=1e400\n", None),
+            ("run", "epochs=1\nsteps=1\nmodel.n_trees=2.5\n", None),
+            ("run", "epochs=1.7\nsteps=1\n", None),
+            ("run", "epochs=1\nsteps=1\nseed=3.9\n", None),
+            # a key that no setting reads, and a state method that does not exist
+            ("run", "epochs=1\nsteps=1\nagent.gama=0.5\n", None),
+            ("run", "epochs=1\nsteps=1\nstate.method=foo\n", None),
         ],
         ids=[
             "epochs", "env_seed", "n_trees", "agent_kind",
@@ -329,6 +359,11 @@ class TestCli:
             "random_unary_yes", "random_binary_1", "no_cluster_no", "euclidean_distance_on",
             "r1_delta_0", "reset_per_epoch_off",
             "size_tolerance_inf", "size_tolerance_nan", "epsilon_decay_2", "target_sync_0",
+            "seed_negative", "env_seed_negative", "evaluate_seed_negative", "evaluate_env_seed_negative",
+            "beta_nan", "beta_inf", "beta_negative",
+            "top_k_pairs_inf", "top_k_pairs_fraction", "top_k_pairs_true", "ae_k_overflow",
+            "n_trees_fraction", "epochs_fraction", "seed_fraction",
+            "unknown_key", "state_method_unknown",
         ],
     )
     def test_malformed_config_value_usage_error(
@@ -348,6 +383,118 @@ class TestCli:
         assert code == 1
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    def test_unknown_key_error_names_it(self, tmp_path, capsys):
+        path, _ = write_dataset_csv(tmp_path)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("agent.gama=0.5\n")
+        code = cli_main(["cluster", "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path)])
+        assert code == 1
+        assert "agent.gama" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "baseline", "evaluate"])
+    def test_negative_seed_flag_usage_error(self, tmp_path, capsys, command):
+        path, _ = write_dataset_csv(tmp_path)
+        budget = [] if command == "evaluate" else ["--epochs", "1", "--steps", "1"]
+        code = cli_main([command, "--data", path, "--target", "y", "--task", "reg", "--seed", "-1", *budget])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:")
+
+
+# each config-file key: a valid non-default value, the PipelineConfig field it
+# must reach (dotted into a section) and that field's expected value
+KEY_FIELDS = {
+    "epochs": ("3", "epochs", 3),
+    "steps": ("1e1", "steps_per_epoch", 10),
+    "seed": ("11", "seed", 11),
+    "state.method": ("ds+ae", "state_method", "ds+ae"),
+    "ablation.no_cluster": ("true", "no_cluster", True),
+    "ablation.euclidean_distance": ("TRUE", "euclidean_distance", True),
+    "agent.r1_delta": ("true", "r1_delta", True),
+    "reset_per_epoch": ("true", "reset_per_epoch", True),
+    "state.ae_k": ("4", "encoder.ae_col_dim", 4),
+    "state.ae_d": ("5", "encoder.ae_row_dim", 5),
+    "state.gae_k": ("6", "encoder.gae_dim", 6),
+    "state.train_epochs": ("7.0", "encoder.train_epochs", 7),
+    "agent.kind": ("actor_critic", "agent.kind", "actor_critic"),
+    "agent.gamma": ("0.8", "agent.gamma", 0.8),
+    "agent.epsilon_start": ("0.7", "agent.epsilon_start", 0.7),
+    "agent.epsilon_min": ("0.1", "agent.epsilon_min", 0.1),
+    "agent.epsilon_decay": ("0.9", "agent.epsilon_decay", 0.9),
+    "agent.beta": ("0", "agent.entropy_beta", 0.0),
+    "agent.target_sync": ("4", "agent.target_sync_every", 4),
+    "generation.top_k_pairs": ("3", "generation.top_k_pairs", 3),
+    "generation.size_tolerance_factor": ("1.5", "generation.size_tolerance_factor", 1.5),
+    "ablation.random_unary": ("true", "generation.random_unary", True),
+    "ablation.random_binary": ("true", "generation.random_binary", True),
+    "clustering.stop_threshold": ("0.05", "clustering.stop_threshold", 0.05),
+    "clustering.epsilon": ("1e-3", "clustering.epsilon", 1e-3),
+    "model.n_trees": ("4", "model.n_trees", 4),
+    "model.max_depth": ("5", "model.max_depth", 5),
+}
+
+
+def built_config(tmp_path, monkeypatch, config_text, argv=(), env_seed=None):
+    """The PipelineConfig that `featforge run` hands to the search."""
+    path, _ = write_dataset_csv(tmp_path)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(config_text)
+    if env_seed is None:
+        monkeypatch.delenv("FEATFORGE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FEATFORGE_SEED", env_seed)
+    built = []
+
+    def search(dataset, cfg):
+        built.append(cfg)
+        return RunReport(method="grfg"), BestFeatureSet(FeatureTable.from_dataset(dataset), 0.0, -1)
+
+    monkeypatch.setattr(cli, "run_grfg", search)
+    code = cli_main(
+        ["run", "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path), *argv]
+    )
+    assert code == 0
+    (cfg,) = built
+    assert cfg.model.seed == cfg.seed
+    return cfg
+
+
+class TestConfigKeys:
+    def test_every_key_is_covered(self):
+        assert set(KEY_FIELDS) == set(cli.CONFIG_KEYS)
+        all_keys = os.path.join(os.path.dirname(__file__), "all_keys.cfg")
+        assert set(cli.read_config_file(all_keys)) == set(cli.CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(KEY_FIELDS))
+    def test_key_reaches_its_field(self, tmp_path, monkeypatch, key, capsys):
+        text, field, expected = KEY_FIELDS[key]
+        assert attrgetter(field)(PipelineConfig()) != expected
+        cfg = built_config(tmp_path, monkeypatch, f"{key} = {text}\n")
+        assert attrgetter(field)(cfg) == expected
+        assert type(attrgetter(field)(cfg)) is type(expected)
+
+    @pytest.mark.parametrize(
+        "config_text, argv, env_seed, expected",
+        [
+            ("", [], None, 0),
+            ("", [], "9", 9),
+            ("seed=5\n", [], "9", 5),
+            ("seed=5\n", ["--seed", "3"], "9", 3),
+        ],
+    )
+    def test_seed_precedence(self, tmp_path, monkeypatch, capsys, config_text, argv, env_seed, expected):
+        assert built_config(tmp_path, monkeypatch, config_text, argv, env_seed).seed == expected
+
+    def test_flags_override_the_file(self, tmp_path, monkeypatch, capsys):
+        cfg = built_config(
+            tmp_path, monkeypatch,
+            "epochs=3\nsteps=4\nagent.kind=dqn\nstate.method=ds\nreset_per_epoch=false\n",
+            ["--epochs", "2", "--steps", "5", "--agent", "ac", "--state", "gae", "--reset-per-epoch"],
+        )
+        assert (cfg.epochs, cfg.steps_per_epoch, cfg.agent.kind, cfg.state_method, cfg.reset_per_epoch) == (
+            2, 5, "actor_critic", "gae", True
+        )
 
 
 ENGINE_VARIANTS = {
