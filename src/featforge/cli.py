@@ -18,7 +18,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from featforge.data_core import DataError, Task, load_csv, make_split
-from featforge.evaluator import ModelSpec, evaluate_predictions, predict_test_side
+from featforge.evaluator import evaluate_predictions, predict_test_side
 from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr
 from featforge.pipeline import TEST_FRACTION, PipelineConfig, run_grfg, run_rdg_baseline
@@ -246,10 +246,10 @@ def _cmd_cluster(args):
 
 
 def _cmd_evaluate(args):
-    seed = _config(args).seed
+    cfg = _config(args)
     dataset = _load(args)
-    split = make_split(dataset, TEST_FRACTION, seed)
-    pred = predict_test_side(dataset.samples, dataset.target, dataset.task, ModelSpec(seed=seed), split)
+    split = make_split(dataset, TEST_FRACTION, cfg.seed)
+    pred = predict_test_side(dataset.samples, dataset.target, dataset.task, cfg.model, split)
     result = evaluate_predictions(pred, dataset.target[split.test_indices], dataset.task)
     print(json.dumps({"primary_metric": result.primary_metric, "auxiliary": result.auxiliary}, indent=2))
     return 0

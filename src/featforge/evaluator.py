@@ -290,9 +290,9 @@ def knn_anomaly_scores(train_X, test_X, k: int = KNN_K) -> np.ndarray:
         raise ValueError("k must be < number of reference rows")
     xs, xt = _standardize(train_X, test_X)
     d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xt @ xs.T
-    d = np.sqrt(np.maximum(d2, 0.0))
-    part = np.sort(np.partition(d, k - 1, axis=1)[:, :k], axis=1)
-    return part.mean(axis=1)
+    # sqrt is monotone, so the k nearest by squared distance are the k nearest
+    part = np.partition(np.maximum(d2, 0.0), k - 1, axis=1)[:, :k]
+    return np.sort(np.sqrt(part), axis=1).mean(axis=1)
 
 
 # ------------------------------------------------------------------- metrics

@@ -45,8 +45,10 @@ class ClusterConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.stop_threshold != "auto" and not isinstance(self.stop_threshold, numbers.Real):
-            raise ValueError(f"stop_threshold must be 'auto' or a number, got {self.stop_threshold!r}")
+        if self.stop_threshold != "auto" and not (
+            isinstance(self.stop_threshold, numbers.Real) and np.isfinite(self.stop_threshold)
+        ):
+            raise ValueError(f"stop_threshold must be 'auto' or a finite number, got {self.stop_threshold!r}")
         if not self.epsilon > 0:
             raise ValueError(f"clustering epsilon must be > 0, got {self.epsilon!r}")
 

@@ -2,14 +2,14 @@
 
 Three part encoders: ``ds`` (descriptive statistics of the columns'
 descriptive statistics, 49 values, two array passes), ``ae`` (column-then-row
-autoencoder bottleneck), ``gae`` (one-layer graph convolutional autoencoder
-over the feature correlation graph).  Each has a ``length`` and an
-``encode(features)`` that returns exactly that many values; ``StateEncoder``
-concatenates them for ``ds+ae`` and ``ds+ae+gae``.  ds is pure; ae/gae own
-training state and are warm-started between calls.  A change of the input's
-row count rebuilds a network from its seed; a change of its column count keeps
-the learned weights and Adam state (the ae resizes its width-dependent tensors)
-and fine-tunes them.
+autoencoder bottleneck with a mirrored linear decoder), ``gae`` (one-layer
+graph convolutional autoencoder over the feature correlation graph).  Each has
+a ``length`` and an ``encode(features)`` that returns exactly that many
+values; ``StateEncoder`` concatenates them for ``ds+ae`` and ``ds+ae+gae``.
+ds is pure; ae/gae own training state and are warm-started between calls.  A
+change of the input's row count rebuilds a network from its seed; a change of
+its column count keeps the learned weights and Adam state (the ae resizes only
+``wr``, ``wr2`` and ``br2``) and fine-tunes them.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ def _uniform(rng: np.random.Generator, fan_in: int, *shape: int) -> np.ndarray:
 
 
 class AutoencoderEncoder:
-    """Column-then-row autoencoder; the flattened bottleneck is the state.
+    """Column-then-row autoencoder; the flattened k x d bottleneck is the state.
 
-    The per-column map reads a full (subsampled) column, so the network is
-    rebuilt and trained for ``train_epochs`` whenever the row count changes.
-    A column-count change resizes the width-dependent tensors (``_resize``)
-    and keeps everything else, Adam state included; either way the network is
-    then fine-tuned for ``incremental_epochs``.
+    Encoder: ``wc`` (k x rows) maps each column, then ``wr`` (n x d) each row.
+    The linear decoder mirrors it: ``wr2`` (d x n), then ``wc2`` (rows x k).  A
+    row-count change rebuilds the network and trains it for ``train_epochs``; a
+    column-count change resizes only ``wr``, ``wr2`` and ``br2`` (``_resize``),
+    Adam state included.  Either way it is then fine-tuned for ``incremental_epochs``.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -130,71 +130,65 @@ class AutoencoderEncoder:
         k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
         rng = np.random.default_rng(self.cfg.seed)
         wc = _uniform(rng, m_s, k, m_s)
-        bc = np.zeros(k)
         wr = _uniform(rng, n, n, d)
-        br = np.zeros(d)
-        wd = _uniform(rng, k * d, m_s * n, k * d)
-        bd = np.zeros(m_s * n)
-        self._params = [wc, bc, wr, br, wd, bd]
+        wr2 = _uniform(rng, d, d, n)
+        wc2 = _uniform(rng, k, m_s, k)
+        self._params = [wc, np.zeros(k), wr, np.zeros(d), wr2, np.zeros(n), wc2, np.zeros(m_s)]
         self._adam = AdamState()
         self._shape = (m_s, n)
 
     def _resize(self, n: int) -> None:
         """Change the width to ``n`` columns, matching columns by position.
 
-        ``wr`` (n x d), ``wd`` (m_s*n x k*d) and ``bd`` (m_s*n) are the only
-        width-dependent tensors.  The first min(old, n) columns keep their
+        ``wr`` (n x d, rows), ``wr2`` (d x n, columns) and ``br2`` (n) are the
+        only width-dependent tensors.  The first min(old, n) columns keep their
         weights and Adam moments; new columns get ``_build``'s init law from a
         generator seeded by the config seed and both widths, and zero moments.
         """
         m_s, old = self._shape
-        k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
+        d = self.cfg.ae_row_dim
         keep, extra = min(old, n), max(n - old, 0)
         rng = np.random.default_rng((self.cfg.seed, old, n))
-        # param index: new columns' init as a (rows, column, tail) block, new shape
+        # param index: (column axis, new columns' init)
         resized = {
-            2: (_uniform(rng, n, 1, extra, d), (n, d)),
-            4: (_uniform(rng, k * d, m_s, extra, k * d), (m_s * n, k * d)),
-            5: (np.zeros((m_s, extra, 1)), (m_s * n,)),
+            2: (0, _uniform(rng, n, extra, d)),
+            4: (1, _uniform(rng, d, d, extra)),
+            5: (0, np.zeros(extra)),
         }
-
-        def widen(a, fill, shape):
-            kept = a.reshape(fill.shape[0], old, fill.shape[2])[:, :keep]
-            return np.concatenate([kept, fill], axis=1).reshape(shape)
-
-        for i, (new, shape) in resized.items():
-            zeros = np.zeros_like(new)
-            self._params[i] = widen(self._params[i], new, shape)
-            self._adam.m[i] = widen(self._adam.m[i], zeros, shape)
-            self._adam.v[i] = widen(self._adam.v[i], zeros, shape)
+        for i, (axis, fill) in resized.items():
+            zeros = np.zeros_like(fill)
+            for arrays, new in ((self._params, fill), (self._adam.m, zeros), (self._adam.v, zeros)):
+                kept = np.take(arrays[i], np.arange(keep), axis=axis)
+                arrays[i] = np.concatenate([kept, new], axis=axis)
         self._shape = (m_s, n)
 
     def _forward(self, f: np.ndarray):
-        wc, bc, wr, br, wd, bd = self._params
+        wc, bc, wr, br, wr2, br2, wc2, bc2 = self._params
         z_pre = wc @ f + bc[:, None]          # k x n
         z = np.maximum(z_pre, 0.0)
         z2_pre = z @ wr + br[None, :]         # k x d
-        z2 = np.maximum(z2_pre, 0.0)
-        h = z2.ravel()                        # k*d
-        recon = (wd @ h + bd).reshape(f.shape)
-        return z_pre, z, z2_pre, z2, h, recon
+        z2 = np.maximum(z2_pre, 0.0)          # the bottleneck
+        u = z2 @ wr2 + br2[None, :]           # k x n
+        recon = wc2 @ u + bc2[:, None]        # rows x n
+        return z_pre, z, z2_pre, z2, u, recon
 
     def _gradients(self, f: np.ndarray):
-        wc, bc, wr, br, wd, bd = self._params
-        z_pre, z, z2_pre, z2, h, recon = self._forward(f)
+        wc, bc, wr, br, wr2, br2, wc2, bc2 = self._params
+        z_pre, z, z2_pre, z2, u, recon = self._forward(f)
         loss = mse(recon, f)
         d_recon = 2.0 * (recon - f) / f.size
-        d_flat = d_recon.ravel()
-        g_wd = np.outer(d_flat, h)
-        g_bd = d_flat
-        d_h = wd.T @ d_flat
-        d_z2 = d_h.reshape(z2.shape) * (z2_pre > 0)
+        g_wc2 = d_recon @ u.T
+        g_bc2 = d_recon.sum(axis=1)
+        d_u = wc2.T @ d_recon
+        g_wr2 = z2.T @ d_u
+        g_br2 = d_u.sum(axis=0)
+        d_z2 = (d_u @ wr2.T) * (z2_pre > 0)
         g_wr = z.T @ d_z2
         g_br = d_z2.sum(axis=0)
         d_z = (d_z2 @ wr.T) * (z_pre > 0)
         g_wc = d_z @ f.T
         g_bc = d_z.sum(axis=1)
-        return loss, [g_wc, g_bc, g_wr, g_br, g_wd, g_bd]
+        return loss, [g_wc, g_bc, g_wr, g_br, g_wr2, g_br2, g_wc2, g_bc2]
 
     def _train_step(self, f: np.ndarray) -> float:
         loss, grads = self._gradients(f)
@@ -218,8 +212,7 @@ class AutoencoderEncoder:
             self._resize(f.shape[1])
         for _ in range(epochs):
             self._train_step(f)
-        h = self._forward(f)[4]
-        return StateVector(values=h, method="ae")
+        return StateVector(values=self._forward(f)[3].ravel(), method="ae")
 
 
 class GraphAutoencoderEncoder:

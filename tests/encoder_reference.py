@@ -1,9 +1,11 @@
 """The state layer as it was before its encoders shared one contract.
 
-`AutoencoderEncoder` and `GraphAutoencoderEncoder` are the former
-`state_rep` classes from before warm starts crossed width changes, and
-`pearson_abs` the former `measures.pearson_abs`, verbatim. Both encoders
-rebuild from their seed whenever the input's row or column count changes.
+`AutoencoderEncoder` is the `state_rep` autoencoder with its mirrored decoder,
+as one call sees it: it rebuilds from its seed whenever the input's row or
+column count changes, where the current one resizes and warm-starts across
+column counts. `GraphAutoencoderEncoder` is the former `state_rep` class from
+before warm starts crossed width changes, and `pearson_abs` the former
+`measures.pearson_abs`, verbatim; it too rebuilds on any shape change.
 `StatVector7`, `descriptive_stats` (one vector per call) and `rep_ds` (one
 call per column and per stat) are the former `measures` and `state_rep`
 functions, and `_fit_length` the former `StateEncoder` fold of the gae's
@@ -118,11 +120,11 @@ def pearson_abs(x, y) -> float:
 
 
 class AutoencoderEncoder:
-    """Column-then-row autoencoder; the flattened bottleneck is the state.
+    """Column-then-row autoencoder with a mirrored decoder; the flattened bottleneck is the state.
 
-    The per-column map reads a full (subsampled) column, so the network is
-    rebuilt and retrained whenever the row or column count changes; otherwise
-    it is fine-tuned for a few epochs.
+    The column maps read a full (subsampled) column, so the network is rebuilt
+    and retrained whenever the row or column count changes; otherwise it is
+    fine-tuned for a few epochs.
     """
 
     def __init__(self, cfg: EncoderConfig):
@@ -153,41 +155,40 @@ class AutoencoderEncoder:
             bound = 1.0 / np.sqrt(fan_in)
             return rng.uniform(-bound, bound, size=shape)
         wc = u(m_s, k, m_s)
-        bc = np.zeros(k)
         wr = u(n, n, d)
-        br = np.zeros(d)
-        wd = u(k * d, m_s * n, k * d)
-        bd = np.zeros(m_s * n)
-        self._params = [wc, bc, wr, br, wd, bd]
+        wr2 = u(d, d, n)
+        wc2 = u(k, m_s, k)
+        self._params = [wc, np.zeros(k), wr, np.zeros(d), wr2, np.zeros(n), wc2, np.zeros(m_s)]
         self._adam = AdamState()
         self._shape = (m_s, n)
 
     def _forward(self, f: np.ndarray):
-        wc, bc, wr, br, wd, bd = self._params
+        wc, bc, wr, br, wr2, br2, wc2, bc2 = self._params
         z_pre = wc @ f + bc[:, None]          # k x n
         z = np.maximum(z_pre, 0.0)
         z2_pre = z @ wr + br[None, :]         # k x d
-        z2 = np.maximum(z2_pre, 0.0)
-        h = z2.ravel()                        # k*d
-        recon = (wd @ h + bd).reshape(f.shape)
-        return z_pre, z, z2_pre, z2, h, recon
+        z2 = np.maximum(z2_pre, 0.0)          # the bottleneck
+        u = z2 @ wr2 + br2[None, :]           # k x n
+        recon = wc2 @ u + bc2[:, None]        # rows x n
+        return z_pre, z, z2_pre, z2, u, recon
 
     def _gradients(self, f: np.ndarray):
-        wc, bc, wr, br, wd, bd = self._params
-        z_pre, z, z2_pre, z2, h, recon = self._forward(f)
+        wc, bc, wr, br, wr2, br2, wc2, bc2 = self._params
+        z_pre, z, z2_pre, z2, u, recon = self._forward(f)
         loss = mse(recon, f)
         d_recon = 2.0 * (recon - f) / f.size
-        d_flat = d_recon.ravel()
-        g_wd = np.outer(d_flat, h)
-        g_bd = d_flat
-        d_h = wd.T @ d_flat
-        d_z2 = d_h.reshape(z2.shape) * (z2_pre > 0)
+        g_wc2 = d_recon @ u.T
+        g_bc2 = d_recon.sum(axis=1)
+        d_u = wc2.T @ d_recon
+        g_wr2 = z2.T @ d_u
+        g_br2 = d_u.sum(axis=0)
+        d_z2 = (d_u @ wr2.T) * (z2_pre > 0)
         g_wr = z.T @ d_z2
         g_br = d_z2.sum(axis=0)
         d_z = (d_z2 @ wr.T) * (z_pre > 0)
         g_wc = d_z @ f.T
         g_bc = d_z.sum(axis=1)
-        return loss, [g_wc, g_bc, g_wr, g_br, g_wd, g_bd]
+        return loss, [g_wc, g_bc, g_wr, g_br, g_wr2, g_br2, g_wc2, g_bc2]
 
     def _train_step(self, f: np.ndarray) -> float:
         loss, grads = self._gradients(f)
@@ -209,8 +210,8 @@ class AutoencoderEncoder:
             epochs = self.cfg.train_epochs
         for _ in range(epochs):
             self._train_step(f)
-        h = self._forward(f)[4]
-        return StateVector(values=h, method="ae")
+        z2 = self._forward(f)[3]
+        return StateVector(values=z2.ravel(), method="ae")
 
 
 class GraphAutoencoderEncoder:

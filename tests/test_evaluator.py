@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import forest_reference
+import knn_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -352,20 +353,15 @@ class TestKnn:
             knn_anomaly_scores(np.ones((3, 1)), np.ones((2, 1)), k=3)
 
     def test_partition_matches_full_sort(self):
-        """The k smallest distances, sorted, are the full sort's first k, so the scores are ``==``."""
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            m, n, cols = int(rng.integers(6, 400)), int(rng.integers(1, 60)), int(rng.integers(1, 6))
-            # even seeds: few distinct integer values, so many distances tie
-            draw = (lambda size: rng.integers(0, 3, size=size).astype(float)) if seed % 2 == 0 else rng.normal
-            train = draw(size=(m, cols))
-            test = np.vstack([train[: n // 2], draw(size=(n - n // 2, cols))])
-            k = int(rng.integers(1, min(m, 40)))
+        """The k nearest, sorted, give the full sort's scores and the reference's (a root of every distance), ``==``."""
+        for train, test, k in knn_reference.knn_inputs():
             xs, xt = evaluator._standardize(train, test)
             d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xt @ xs.T
             d = np.sqrt(np.maximum(d2, 0.0))
             expected = np.sort(d, axis=1)[:, :k].mean(axis=1)
-            assert np.array_equal(knn_anomaly_scores(train, test, k=k), expected)
+            scores = knn_anomaly_scores(train, test, k=k)
+            assert np.array_equal(scores, expected)
+            assert np.array_equal(scores, knn_reference.knn_anomaly_scores(train, test, k=k))
 
 
 def brute_force_macro_f1(pred, truth):

@@ -11,7 +11,7 @@ from featforge import cli
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
 from featforge.data_core import Dataset, Task, load_csv, make_split
-from featforge.evaluator import ModelSpec, downstream_performance
+from featforge.evaluator import ModelSpec, downstream_performance, evaluate_predictions, predict_test_side
 from featforge.generation import FeatureTable, GenerationConfig
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import (
@@ -244,6 +244,24 @@ class TestCli:
         expected = downstream_performance(d.samples, d.target, d.task, ModelSpec(seed=3), split)
         assert payload["primary_metric"] == expected
 
+    def test_evaluate_reads_model_keys(self, tmp_path, capsys):
+        """``model.*`` keys reach the scoring model, as ``predict_test_side`` with that spec scores."""
+        path, _ = write_dataset_csv(tmp_path, task=Task.CLASSIFICATION, seed=4)
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("model.n_trees=1\n")
+        argv = ["evaluate", "--data", path, "--target", "y", "--task", "cls", "--seed", "3"]
+        assert cli_main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert cli_main([*argv, "--config", str(cfg_path)]) == 0
+        one_tree = json.loads(capsys.readouterr().out)
+        d = load_csv(path, "y", Task.CLASSIFICATION)
+        split = make_split(d, 0.2, 3)
+        pred = predict_test_side(d.samples, d.target, d.task, ModelSpec(n_trees=1, seed=3), split)
+        expected = evaluate_predictions(pred, d.target[split.test_indices], d.task)
+        expected = {"primary_metric": expected.primary_metric, "auxiliary": expected.auxiliary}
+        assert one_tree == json.loads(json.dumps(expected))
+        assert one_tree != default
+
     def test_trace_verify(self, tmp_path, capsys):
         path, _ = write_dataset_csv(tmp_path)
         out = str(tmp_path / "run")
@@ -320,6 +338,12 @@ class TestCli:
             ("cluster", "clustering.epsilon=0\n", None),
             ("run", "epochs=1\nsteps=1\nclustering.stop_threshold=abc\n", None),
             ("cluster", "clustering.stop_threshold=abc\n", None),
+            # a stop threshold must be finite
+            ("run", "epochs=1\nsteps=1\nclustering.stop_threshold=nan\n", None),
+            ("baseline", "epochs=1\nsteps=1\nclustering.stop_threshold=inf\n", None),
+            ("cluster", "clustering.stop_threshold=nan\n", None),
+            ("cluster", "clustering.stop_threshold=inf\n", None),
+            ("cluster", "clustering.stop_threshold=-inf\n", None),
             # a boolean key takes only true or false
             ("run", "epochs=1\nsteps=1\nablation.random_unary=yes\n", None),
             ("run", "epochs=1\nsteps=1\nablation.random_binary=1\n", None),
@@ -356,6 +380,8 @@ class TestCli:
         ids=[
             "epochs", "env_seed", "n_trees", "agent_kind",
             "cluster_epsilon", "cluster_zero_epsilon", "stop_threshold", "cluster_stop_threshold",
+            "stop_threshold_nan", "baseline_stop_threshold_inf",
+            "cluster_stop_threshold_nan", "cluster_stop_threshold_inf", "cluster_stop_threshold_neg_inf",
             "random_unary_yes", "random_binary_1", "no_cluster_no", "euclidean_distance_on",
             "r1_delta_0", "reset_per_epoch_off",
             "size_tolerance_inf", "size_tolerance_nan", "epsilon_decay_2", "target_sync_0",

@@ -358,34 +358,35 @@ class TestWarmStart:
     @pytest.mark.parametrize("old,new", [(5, 7), (7, 5), (3, 4)])
     def test_autoencoder_width_change_keeps_columns(self, old, new):
         cfg = EncoderConfig(seed=13, ae_col_dim=3, ae_row_dim=2)
-        k, d, m = cfg.ae_col_dim, cfg.ae_row_dim, 30
+        d, m = cfg.ae_row_dim, 30
         enc = AutoencoderEncoder(cfg)
         enc.encode(random_features(0, m=m, n=old))
         params, moments, step = _weights(enc), _moments(enc), enc._adam.step
+        count = len(params)
         enc._resize(new)
         keep, extra = min(old, new), max(new - old, 0)
         assert enc._shape == (m, new) and enc._adam.step == step
-        # wc, bc and br do not depend on the width
-        for i in (0, 1, 3):
+        # wc, bc, br, wc2 and bc2 do not depend on the width
+        for i in (0, 1, 3, 6, 7):
             assert np.array_equal(enc._params[i], params[i])
-            assert np.array_equal(enc._adam.m[i], moments[i]) and np.array_equal(enc._adam.v[i], moments[6 + i])
+            assert np.array_equal(enc._adam.m[i], moments[i])
+            assert np.array_equal(enc._adam.v[i], moments[count + i])
         rng = np.random.default_rng((cfg.seed, old, new))
+        # param index: (column axis, new columns' init, new shape)
         drawn = {
-            2: rng.uniform(-1 / np.sqrt(new), 1 / np.sqrt(new), size=(1, extra, d)),
-            4: rng.uniform(-1 / np.sqrt(k * d), 1 / np.sqrt(k * d), size=(m, extra, k * d)),
-            5: np.zeros((m, extra, 1)),
+            2: (0, rng.uniform(-1 / np.sqrt(new), 1 / np.sqrt(new), size=(extra, d)), (new, d)),
+            4: (1, rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, extra)), (d, new)),
+            5: (0, np.zeros(extra), (new,)),
         }
-        shapes = {2: (new, d), 4: (m * new, k * d), 5: (m * new,)}
-        for i, fresh in drawn.items():
-            rows, tail = fresh.shape[0], fresh.shape[2]
-            assert enc._params[i].shape == enc._adam.m[i].shape == enc._adam.v[i].shape == shapes[i]
-            got = enc._params[i].reshape(rows, new, tail)
-            assert np.array_equal(got[:, :keep], params[i].reshape(rows, old, tail)[:, :keep])
-            assert np.array_equal(got[:, keep:], fresh)
-            for j in (i, 6 + i):
-                mom = (enc._adam.m + enc._adam.v)[j].reshape(rows, new, tail)
-                assert np.array_equal(mom[:, :keep], moments[j].reshape(rows, old, tail)[:, :keep])
-                assert not mom[:, keep:].any()
+        for i, (axis, fresh, shape) in drawn.items():
+            assert enc._params[i].shape == enc._adam.m[i].shape == enc._adam.v[i].shape == shape
+            got = np.moveaxis(enc._params[i], axis, 0)
+            assert np.array_equal(got[:keep], np.moveaxis(params[i], axis, 0)[:keep])
+            assert np.array_equal(got[keep:], np.moveaxis(fresh, axis, 0))
+            for j in (i, count + i):
+                mom = np.moveaxis((enc._adam.m + enc._adam.v)[j], axis, 0)
+                assert np.array_equal(mom[:keep], np.moveaxis(moments[j], axis, 0)[:keep])
+                assert not mom[keep:].any()
 
     @pytest.mark.parametrize("kind,ref_kind", KINDS)
     def test_width_change_fine_tunes(self, kind, ref_kind):
