@@ -1,9 +1,10 @@
 """Cascading reinforced agents over variable-size candidate sets.
 
 Action sets (feature groups, operations) change every step, so each candidate
-is scored by a network reading state + candidate_rep -> scalar.  Three
-interchangeable optimizers: vanilla Q-learning, double Q with a dueling
-value/advantage decomposition, and actor-critic with entropy regularization.
+is scored by a network reading state + candidate_rep -> scalar.  Two
+optimizers: one batched TD update whose two switches, a dueling value/advantage
+head and a double-Q target, ``dqn`` turns off and ``ddqn_dueling`` on; and
+actor-critic with entropy regularization.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featforge.nnet import AdamState, DenseNet, adam_step, backward, forward, init_net, softmax
+from featforge.nnet import AdamState, DenseNet, adam_step, adam_update, backward, forward, init_net, softmax
 from featforge.state_rep import StateVector
 
 
 @dataclass(frozen=True)
 class Transition:
     state: StateVector
-    action_rep: StateVector
     action_index: int
     candidates: tuple[StateVector, ...]
     reward: float
@@ -30,8 +30,15 @@ class Transition:
     def __post_init__(self):
         if not self.next_candidates:
             raise ValueError("next_candidates must be non-empty")
+        if not 0 <= self.action_index < len(self.candidates):
+            raise ValueError("action_index must index candidates")
         if not np.isfinite(self.reward):
             raise ValueError("reward must be finite")
+
+
+HIDDEN = (64, 64)      # widths of each network's two hidden layers
+LEARNING_RATE = 0.01   # Adam step size of every network
+MEMORY_CAPACITY = 32   # transitions each agent's replay memory keeps
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,8 @@ class AgentConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.batch_size < 1 or self.target_sync_every < 1:
             raise ValueError("batch_size and target_sync_every must be positive")
+        if self.batch_size > MEMORY_CAPACITY:
+            raise ValueError(f"batch_size must be <= the replay memory's {MEMORY_CAPACITY}")
         if not 0.0 <= self.entropy_beta < np.inf:
             raise ValueError("entropy_beta must be finite and >= 0")
         if self.kind not in ("dqn", "ddqn_dueling", "actor_critic"):
@@ -104,17 +113,11 @@ class ReplayMemory:
         return [self._buf[i] for i in idx]
 
 
-def _cat(state: StateVector, cand: StateVector) -> np.ndarray:
-    return np.concatenate([state.values, cand.values])
-
-
-def score_candidates(net: DenseNet, state: StateVector, candidates) -> np.ndarray:
-    """Scalar score per candidate from a state+candidate network."""
-    if not candidates:
-        raise ValueError("candidate list must be non-empty")
-    batch = np.stack([_cat(state, c) for c in candidates])
-    out, _ = forward(net, batch)
-    return out[:, 0]
+def _pairs(states, cand_sets) -> np.ndarray:
+    """One row state + candidate per candidate of each state, states in order."""
+    return np.stack(
+        [np.concatenate([s.values, c.values]) for s, cands in zip(states, cand_sets) for c in cands]
+    )
 
 
 def select_epsilon_greedy(scores, epsilon: float, rng: np.random.Generator) -> int:
@@ -128,114 +131,93 @@ def select_epsilon_greedy(scores, epsilon: float, rng: np.random.Generator) -> i
     return int(np.argmax(scores))  # argmax ties -> lowest index
 
 
-def dueling_q_values(
-    v_net: DenseNet, a_net: DenseNet, state: StateVector, candidates
-) -> np.ndarray:
-    """Q(s, a_i) = V(s) + A(s, a_i) - mean_j A(s, a_j)."""
-    v_out, _ = forward(v_net, state.values)
-    adv = score_candidates(a_net, state, candidates)
-    return float(v_out[0]) + adv - adv.mean()
-
-
-def q_update_vanilla(
-    batch: list[Transition], net: DenseNet, adam: AdamState, cfg: AgentConfig
-) -> float:
-    """One Adam step on the mean squared TD error; returns the loss."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    total_gw = [np.zeros_like(w) for w in net.weights]
-    total_gb = [np.zeros_like(b) for b in net.biases]
-    loss = 0.0
-    for t in batch:
-        next_q = score_candidates(net, t.next_state, t.next_candidates)
-        target = t.reward + cfg.gamma * float(next_q.max())
-        x = _cat(t.state, t.action_rep)
-        out, cache = forward(net, x)
-        q_sa = float(out[0])
-        delta = q_sa - target
-        loss += delta**2
-        gw, gb = backward(net, cache, np.array([2.0 * delta / len(batch)]))
-        for acc, g in zip(total_gw, gw):
-            acc += g
-        for acc, g in zip(total_gb, gb):
-            acc += g
-    adam_step(net, (total_gw, total_gb), adam)
-    return loss / len(batch)
-
-
 @dataclass
-class DuelingNets:
-    v_net: DenseNet
+class QNets:
+    """Q-networks: advantage net A(s, c) and, for a dueling head, value net V(s)."""
+
     a_net: DenseNet
+    v_net: DenseNet | None = None
+
+    @property
+    def nets(self) -> list[DenseNet]:
+        return [self.a_net] if self.v_net is None else [self.a_net, self.v_net]
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        return [p for net in self.nets for p in net.weights + net.biases]
 
 
-def double_q_target(
-    t: Transition, online: "DuelingNets", target: "DuelingNets", gamma: float
+def _q_rows(nets: QNets, states, cand_sets):
+    """Q of every candidate of every state, flat and in order; returns (q, starts, caches).
+
+    Q = A(s, c), or V(s) + A(s, c) - mean_j A(s, c_j) with a dueling head.
+    ``starts`` are the flat index of each state's first candidate.
+    """
+    counts = [len(c) for c in cand_sets]
+    starts = np.cumsum(counts) - counts
+    adv_out, a_cache = forward(nets.a_net, _pairs(states, cand_sets))
+    adv = adv_out[:, 0]
+    if nets.v_net is None:
+        return adv, starts, (a_cache, None)
+    v_out, v_cache = forward(nets.v_net, np.stack([s.values for s in states]))
+    mean = [seg.mean() for seg in np.split(adv, starts[1:])]
+    q = np.repeat(v_out[:, 0], counts) + adv - np.repeat(mean, counts)
+    return q, starts, (a_cache, v_cache)
+
+
+def q_values(nets: QNets, state: StateVector, candidates) -> np.ndarray:
+    """Q(s, c) of each candidate of one state; without V, each candidate's score."""
+    if not candidates:
+        raise ValueError("candidate list must be non-empty")
+    return _q_rows(nets, [state], [candidates])[0]
+
+
+def q_update(
+    batch: list[Transition], online: QNets, target: QNets, adam: AdamState, cfg: AgentConfig
 ) -> float:
-    """TD target: online nets pick the next action, target nets value it."""
-    online_next = dueling_q_values(online.v_net, online.a_net, t.next_state, t.next_candidates)
-    a_star = int(np.argmax(online_next))
-    target_next = dueling_q_values(target.v_net, target.a_net, t.next_state, t.next_candidates)
-    return t.reward + gamma * float(target_next[a_star])
+    """One Adam step of ``online`` on the mean squared TD error; returns the loss.
 
-
-def q_update_double_dueling(
-    batch: list[Transition],
-    online: DuelingNets,
-    target: DuelingNets,
-    adam_v: AdamState,
-    adam_a: AdamState,
-    cfg: AgentConfig,
-) -> float:
-    """Double-Q update with dueling decomposition.
-
-    Action selection over next candidates uses the ONLINE nets; evaluation of
-    the selected action uses the TARGET nets.  Only the online nets receive
-    gradients.
+    The online nets pick each next candidate and the target nets value it
+    (double Q); with ``target is online`` that value is the max, vanilla Q.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    if online.v_net.layer_sizes != target.v_net.layer_sizes:
+    if [p.shape for p in online.params] != [p.shape for p in target.params]:
         raise ValueError("online/target architecture mismatch")
-    total_v_w = [np.zeros_like(w) for w in online.v_net.weights]
-    total_v_b = [np.zeros_like(b) for b in online.v_net.biases]
-    total_a_w = [np.zeros_like(w) for w in online.a_net.weights]
-    total_a_b = [np.zeros_like(b) for b in online.a_net.biases]
-    loss = 0.0
-    for t in batch:
-        y = double_q_target(t, online, target, cfg.gamma)
+    next_states = [t.next_state for t in batch]
+    next_cands = [t.next_candidates for t in batch]
+    q_next, starts, _ = _q_rows(online, next_states, next_cands)
+    picked = starts + [int(np.argmax(seg)) for seg in np.split(q_next, starts[1:])]
+    if target is not online:
+        q_next = _q_rows(target, next_states, next_cands)[0]
+    y = np.array([t.reward for t in batch]) + cfg.gamma * q_next[picked]
 
-        v_out, v_cache = forward(online.v_net, t.state.values)
-        adv_batch = np.stack([_cat(t.state, c) for c in t.candidates])
-        adv_out, a_cache = forward(online.a_net, adv_batch)
-        adv = adv_out[:, 0]
-        q_sa = float(v_out[0]) + adv[t.action_index] - adv.mean()
-        delta = q_sa - y
-        loss += delta**2
-        coeff = 2.0 * delta / len(batch)
-        gw, gb = backward(online.v_net, v_cache, np.array([coeff]))
-        for acc, g in zip(total_v_w, gw):
-            acc += g
-        for acc, g in zip(total_v_b, gb):
-            acc += g
-        n_cand = len(t.candidates)
-        adv_grad = np.full((n_cand, 1), -coeff / n_cand)
-        adv_grad[t.action_index, 0] += coeff
-        gw, gb = backward(online.a_net, a_cache, adv_grad)
-        for acc, g in zip(total_a_w, gw):
-            acc += g
-        for acc, g in zip(total_a_b, gb):
-            acc += g
-    adam_step(online.v_net, (total_v_w, total_v_b), adam_v)
-    adam_step(online.a_net, (total_a_w, total_a_b), adam_a)
-    return loss / len(batch)
+    q, starts, (a_cache, v_cache) = _q_rows(
+        online, [t.state for t in batch], [t.candidates for t in batch]
+    )
+    taken = starts + [t.action_index for t in batch]
+    delta = q[taken] - y
+    coeff = 2.0 * delta / len(batch)
+    if online.v_net is None:
+        grad_q = np.zeros(len(q))
+    else:  # every A(s, c_j) enters its Q(s, a) through the mean
+        counts = np.array([len(t.candidates) for t in batch])
+        grad_q = np.repeat(-coeff / counts, counts)
+    grad_q[taken] += coeff
+    gw, gb = backward(online.a_net, a_cache, grad_q[:, None])
+    grads = [*gw, *gb]
+    if online.v_net is not None:
+        gw, gb = backward(online.v_net, v_cache, coeff[:, None])
+        grads += [*gw, *gb]
+    adam_update(online.params, grads, adam)
+    return float(np.mean(delta**2))
 
 
 def ac_select(
     actor: DenseNet, state: StateVector, candidates, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Sample an action from the softmax over candidate logits."""
-    logits = score_candidates(actor, state, candidates)
+    logits = q_values(QNets(actor), state, candidates)
     probs = softmax(logits)
     idx = int(rng.choice(len(probs), p=probs))
     return idx, probs
@@ -264,8 +246,7 @@ def ac_update(
     adam_step(critic, (gw, gb), adam_critic)
     critic_loss = delta**2
 
-    batch = np.stack([_cat(t.state, c) for c in t.candidates])
-    logits_out, a_cache = forward(actor, batch)
+    logits_out, a_cache = forward(actor, _pairs([t.state], [t.candidates]))
     logits = logits_out[:, 0]
     probs = softmax(logits)
     a = t.action_index
@@ -283,41 +264,29 @@ def ac_update(
     return critic_loss, objective
 
 
-HIDDEN = (64, 64)      # widths of each network's two hidden layers
-LEARNING_RATE = 0.01   # Adam step size of every network
-MEMORY_CAPACITY = 32   # transitions each agent's replay memory keeps
-
-
 class CascadeAgent:
     """One of the three cascading agents; owns its networks and replay memory."""
 
     def __init__(self, state_width: int, candidate_width: int, cfg: AgentConfig):
         self.cfg = cfg
-        self.state_width = state_width
-        self.candidate_width = candidate_width
         self._rng = np.random.default_rng(cfg.seed)
         in_q = state_width + candidate_width
         h1, h2 = HIDDEN
         acts = ("relu", "relu", "linear")
-        if cfg.kind == "dqn":
-            self.q_net = init_net((in_q, h1, h2, 1), acts, cfg.seed)
-            self.adam = AdamState(learning_rate=LEARNING_RATE)
-        elif cfg.kind == "ddqn_dueling":
-            self.online = DuelingNets(
-                v_net=init_net((state_width, h1, h2, 1), acts, cfg.seed),
-                a_net=init_net((in_q, h1, h2, 1), acts, cfg.seed + 1),
-            )
-            self.target = DuelingNets(
-                v_net=self.online.v_net.copy(), a_net=self.online.a_net.copy()
-            )
-            self.adam_v = AdamState(learning_rate=LEARNING_RATE)
-            self.adam_a = AdamState(learning_rate=LEARNING_RATE)
-            self._updates = 0
-        else:
+        if cfg.kind == "actor_critic":
             self.actor = init_net((in_q, h1, h2, 1), acts, cfg.seed)
             self.critic = init_net((state_width, h1, h2, 1), acts, cfg.seed + 1)
             self.adam_actor = AdamState(learning_rate=LEARNING_RATE)
             self.adam_critic = AdamState(learning_rate=LEARNING_RATE)
+        else:  # ddqn_dueling turns on both switches of q_update
+            ddqn = cfg.kind == "ddqn_dueling"
+            self.online = QNets(
+                a_net=init_net((in_q, h1, h2, 1), acts, cfg.seed + int(ddqn)),
+                v_net=init_net((state_width, h1, h2, 1), acts, cfg.seed) if ddqn else None,
+            )
+            self.target = QNets(*(net.copy() for net in self.online.nets)) if ddqn else self.online
+            self.adam = AdamState(learning_rate=LEARNING_RATE)
+            self._updates = 0
         self.memory = ReplayMemory(
             MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
         )
@@ -327,11 +296,7 @@ class CascadeAgent:
         if self.cfg.kind == "actor_critic":
             idx, probs = ac_select(self.actor, state, candidates, self._rng)
             return idx, float(probs[idx])
-        if self.cfg.kind == "dqn":
-            scores = score_candidates(self.q_net, state, candidates)
-        else:
-            scores = dueling_q_values(self.online.v_net, self.online.a_net, state, candidates)
-        idx = select_epsilon_greedy(scores, epsilon, self._rng)
+        idx = select_epsilon_greedy(q_values(self.online, state, candidates), epsilon, self._rng)
         return idx, 1.0
 
     def observe(self, t: Transition) -> float | None:
@@ -345,13 +310,9 @@ class CascadeAgent:
         batch = self.memory.sample()
         if batch is None:
             return None
-        if self.cfg.kind == "dqn":
-            return q_update_vanilla(batch, self.q_net, self.adam, self.cfg)
-        loss = q_update_double_dueling(
-            batch, self.online, self.target, self.adam_v, self.adam_a, self.cfg
-        )
+        loss = q_update(batch, self.online, self.target, self.adam, self.cfg)
         self._updates += 1
-        if self._updates % self.cfg.target_sync_every == 0:
-            self.target.v_net.copy_from(self.online.v_net)
-            self.target.a_net.copy_from(self.online.a_net)
+        if self.target is not self.online and self._updates % self.cfg.target_sync_every == 0:
+            for mine, theirs in zip(self.target.nets, self.online.nets):
+                mine.copy_from(theirs)
         return loss

@@ -49,8 +49,8 @@ class ClusterConfig:
             isinstance(self.stop_threshold, numbers.Real) and np.isfinite(self.stop_threshold)
         ):
             raise ValueError(f"stop_threshold must be 'auto' or a finite number, got {self.stop_threshold!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"clustering epsilon must be > 0, got {self.epsilon!r}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"clustering epsilon must be finite and > 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,6 @@ class _CascadePolicy:
             self.pending[k] = partial(
                 Transition,
                 state=state,
-                action_rep=candidates[idx],
                 action_index=idx,
                 candidates=candidates,
                 action_prob=prob,

@@ -42,11 +42,10 @@ def _group_names(table: FeatureTable, group: FeatureGroup) -> list[str]:
 class _PendingTransition:
     """Half-built transition waiting for the next step's state and candidates."""
 
-    __slots__ = ("state", "action_rep", "action_index", "candidates", "reward", "prob")
+    __slots__ = ("state", "action_index", "candidates", "reward", "prob")
 
-    def __init__(self, state, action_rep, action_index, candidates, reward, prob):
+    def __init__(self, state, action_index, candidates, reward, prob):
         self.state = state
-        self.action_rep = action_rep
         self.action_index = action_index
         self.candidates = candidates
         self.reward = reward
@@ -55,7 +54,6 @@ class _PendingTransition:
     def finalize(self, next_state: StateVector, next_candidates) -> Transition:
         return Transition(
             state=self.state,
-            action_rep=self.action_rep,
             action_index=self.action_index,
             candidates=tuple(self.candidates),
             reward=self.reward,
@@ -177,9 +175,9 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
             if cfg.r1_delta:
                 r1 = r_op
 
-            pending["g1"] = _PendingTransition(state1, group_reps[idx1], idx1, group_reps, r1, prob1)
-            pending["op"] = _PendingTransition(state_op, op_candidates[idx_op], idx_op, op_candidates, r_op, prob_op)
-            pending["g2"] = _PendingTransition(state2, group_reps[idx2], idx2, group_reps, r2, prob2)
+            pending["g1"] = _PendingTransition(state1, idx1, group_reps, r1, prob1)
+            pending["op"] = _PendingTransition(state_op, idx_op, op_candidates, r_op, prob_op)
+            pending["g2"] = _PendingTransition(state2, idx2, group_reps, r2, prob2)
 
             if v_a > best.score:
                 best = BestFeatureSet(table=new_table, score=v_a, step=global_step)

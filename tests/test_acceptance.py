@@ -9,12 +9,10 @@ from encoder_reference import pearson_abs
 
 from featforge.agents import (
     AgentConfig,
-    DuelingNets,
+    QNets,
     ac_update,
-    double_q_target,
-    dueling_q_values,
-    q_update_vanilla,
-    score_candidates,
+    q_update,
+    q_values,
 )
 from featforge.data_core import Dataset, Task
 from featforge.evaluator import ModelSpec, metric_1rae, metric_auc, metric_f1, train_random_forest
@@ -212,7 +210,6 @@ def _fixed_transition(reward=1.0, action_index=0):
     cands = (_sv(1.0, 0.0), _sv(0.0, 1.0))
     return Transition(
         state=_sv(0.5),
-        action_rep=cands[action_index],
         action_index=action_index,
         candidates=cands,
         reward=reward,
@@ -228,19 +225,21 @@ def test_criterion_4_rl_updates():
     t = _fixed_transition(reward=1.0, action_index=0)
     q_sa = 0.1 * 0.5 + 0.2 + 0.05
     target = 1.0 + 0.9 * max(0.1 * -0.5 + 0.2 + 0.05, 0.1 * -0.5 + 0.3 + 0.05)
-    loss = q_update_vanilla([t], net, AdamState(), AgentConfig(gamma=0.9))
+    nets = QNets(net)
+    loss = q_update([t], nets, nets, AdamState(), AgentConfig(gamma=0.9))
     assert abs(loss - (q_sa - target) ** 2) < 1e-12
     # (b) double-Q decoupling on handcrafted weights
-    online = DuelingNets(v_net=_linear_net([0.0]), a_net=_linear_net([0.0, 0.0, 1.0]))
-    tnets = DuelingNets(v_net=_linear_net([0.0], bias=0.55), a_net=_linear_net([0.0, 0.35, -0.35]))
-    q_online = dueling_q_values(online.v_net, online.a_net, t.next_state, t.next_candidates)
+    online = QNets(v_net=_linear_net([0.0]), a_net=_linear_net([0.0, 0.0, 1.0]))
+    tnets = QNets(v_net=_linear_net([0.0], bias=0.55), a_net=_linear_net([0.0, 0.35, -0.35]))
+    q_online = q_values(online, t.next_state, t.next_candidates)
     assert int(np.argmax(q_online)) == 1
-    y = double_q_target(t, online, tnets, gamma=0.9)
-    assert abs(y - (1.0 + 0.9 * 0.2)) < 1e-12  # target net evaluates the ONLINE pick
+    q_sa = -0.5  # V = 0 and A = [0, 1] over the current candidates; action 0 taken
+    loss = q_update([t], online, tnets, AdamState(), AgentConfig(gamma=0.9))
+    assert abs(loss - (q_sa - (1.0 + 0.9 * 0.2)) ** 2) < 1e-12  # target net evaluates the ONLINE pick
     # (c) dueling invariance under constant advantage shift
-    q_before = dueling_q_values(online.v_net, online.a_net, t.state, t.candidates)
+    q_before = q_values(online, t.state, t.candidates)
     online.a_net.biases[0][0] += 7.0
-    q_after = dueling_q_values(online.v_net, online.a_net, t.state, t.candidates)
+    q_after = q_values(online, t.state, t.candidates)
     assert np.max(np.abs(q_before - q_after)) < 1e-12
     # (d) actor-critic: delta substitution, uniform entropy, probability increase
     actor = _linear_net([0.0, 0.0, 0.0])
@@ -255,7 +254,7 @@ def test_criterion_4_rl_updates():
     t2 = _fixed_transition(reward=2.0, action_index=1)
 
     def prob():
-        return softmax(score_candidates(actor, t2.state, t2.candidates))[1]
+        return softmax(q_values(QNets(actor), t2.state, t2.candidates))[1]
 
     p_before = prob()
     ac_update(t2, actor, _linear_net([0.0]), AdamState(), AdamState(), cfg)

@@ -1,24 +1,25 @@
+import agents_reference
 import numpy as np
 import pytest
 
+from featforge import agents
 from featforge.agents import (
+    HIDDEN,
+    MEMORY_CAPACITY,
     AgentConfig,
     CascadeAgent,
-    DuelingNets,
+    QNets,
     ReplayMemory,
     Transition,
     ac_select,
     ac_update,
     compute_rewards,
-    double_q_target,
-    dueling_q_values,
     epsilon_at,
-    q_update_double_dueling,
-    q_update_vanilla,
-    score_candidates,
+    q_update,
+    q_values,
     select_epsilon_greedy,
 )
-from featforge.nnet import AdamState, forward, init_net
+from featforge.nnet import AdamState, adam_step, adam_update, forward, init_net
 from featforge.state_rep import StateVector
 
 
@@ -30,7 +31,6 @@ def make_transition(reward=1.0, action_index=0):
     cands = (sv(1.0, 0.0), sv(0.0, 1.0))
     return Transition(
         state=sv(0.5),
-        action_rep=cands[action_index],
         action_index=action_index,
         candidates=cands,
         reward=reward,
@@ -63,6 +63,7 @@ class TestAgentConfig:
         [
             ("epsilon_start", 1.5), ("epsilon_start", -0.1), ("epsilon_min", 2.0), ("epsilon_min", float("nan")),
             ("epsilon_decay", 0.0), ("epsilon_decay", 2.0), ("target_sync_every", 0),
+            ("batch_size", MEMORY_CAPACITY + 1),
             ("entropy_beta", float("nan")), ("entropy_beta", float("inf")), ("entropy_beta", -0.01),
         ],
     )
@@ -71,7 +72,10 @@ class TestAgentConfig:
             AgentConfig(**{field: value})
 
     def test_schedule_edges_allowed(self):
-        AgentConfig(epsilon_start=1.0, epsilon_min=0.0, epsilon_decay=1.0, target_sync_every=1)
+        AgentConfig(
+            epsilon_start=1.0, epsilon_min=0.0, epsilon_decay=1.0, target_sync_every=1,
+            batch_size=MEMORY_CAPACITY,
+        )
 
 
 class TestEpsilonSchedule:
@@ -143,7 +147,6 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition(
                 state=sv(0.0),
-                action_rep=sv(1.0),
                 action_index=0,
                 candidates=(sv(1.0),),
                 reward=0.0,
@@ -155,27 +158,32 @@ class TestTransition:
         with pytest.raises(ValueError):
             make_transition(reward=float("inf"))
 
+    @pytest.mark.parametrize("action_index", [-1, 2])
+    def test_action_index_out_of_range(self, action_index):
+        with pytest.raises(ValueError):
+            make_transition(action_index=action_index)
+
 
 class TestScoreCandidates:
     def test_single(self):
         net = init_net((3, 4, 1), ("relu", "linear"), seed=0)
-        scores = score_candidates(net, sv(0.1), [sv(1.0, 0.0)])
+        scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0)])
         assert scores.shape == (1,)
 
     def test_identical_candidates_identical_scores(self):
         net = init_net((3, 4, 1), ("relu", "linear"), seed=1)
-        scores = score_candidates(net, sv(0.1), [sv(1.0, 0.0), sv(1.0, 0.0)])
+        scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0), sv(1.0, 0.0)])
         assert scores[0] == scores[1]
 
     def test_zero_weights_give_bias(self):
         net = linear_net([0.0, 0.0, 0.0], bias=0.25)
-        scores = score_candidates(net, sv(0.3), [sv(1.0, 0.0), sv(0.0, 1.0)])
+        scores = q_values(QNets(net), sv(0.3), [sv(1.0, 0.0), sv(0.0, 1.0)])
         assert np.allclose(scores, 0.25)
 
     def test_empty_rejected(self):
         net = init_net((3, 1), ("linear",), seed=0)
         with pytest.raises(ValueError):
-            score_candidates(net, sv(0.1), [])
+            q_values(QNets(net), sv(0.1), [])
 
 
 class TestSelectEpsilonGreedy:
@@ -212,7 +220,8 @@ class TestQUpdateVanilla:
         next_q = [0.1 * -0.5 + 0.2 + 0.05, 0.1 * -0.5 + 0.3 + 0.05]
         target = 1.0 + 0.9 * max(next_q)
         expected_loss = (q_sa - target) ** 2
-        loss = q_update_vanilla([t], net, AdamState(), cfg)
+        nets = QNets(net)
+        loss = q_update([t], nets, nets, AdamState(), cfg)
         assert abs(loss - expected_loss) < 1e-12
 
     def test_tiny_gamma_target_is_reward(self):
@@ -220,40 +229,42 @@ class TestQUpdateVanilla:
         cfg = AgentConfig(gamma=1e-12)
         t = make_transition(reward=2.0, action_index=1)
         q_sa = 0.1 * 0.5 + 0.3 * 1.0 + 0.05
-        loss = q_update_vanilla([t], net, AdamState(), cfg)
+        nets = QNets(net)
+        loss = q_update([t], nets, nets, AdamState(), cfg)
         assert abs(loss - (q_sa - 2.0) ** 2) < 1e-9
 
     def test_repeated_updates_converge_10x(self):
         net = init_net((3, 8, 1), ("relu", "linear"), seed=4)
+        nets = QNets(net)
         cfg = AgentConfig(gamma=0.9)
         adam = AdamState(learning_rate=0.01)
         t = make_transition(reward=1.0)
 
         def residual():
-            next_q = score_candidates(net, t.next_state, t.next_candidates)
+            next_q = q_values(nets, t.next_state, t.next_candidates)
             target = t.reward + cfg.gamma * float(next_q.max())
-            out, _ = forward(net, np.concatenate([t.state.values, t.action_rep.values]))
+            out, _ = forward(net, np.concatenate([t.state.values, t.candidates[t.action_index].values]))
             return abs(float(out[0]) - target)
 
         initial = residual()
         for _ in range(100):
-            q_update_vanilla([t], net, adam, cfg)
+            q_update([t], nets, nets, adam, cfg)
         assert residual() <= initial / 10.0
 
     def test_empty_batch(self):
-        net = init_net((3, 1), ("linear",), seed=0)
+        nets = QNets(init_net((3, 1), ("linear",), seed=0))
         with pytest.raises(ValueError):
-            q_update_vanilla([], net, AdamState(), AgentConfig())
+            q_update([], nets, nets, AdamState(), AgentConfig())
 
 
 class TestDuelingDoubleQ:
     def handcrafted_nets(self):
         # V nets read the 1-wide state; A nets read state + 2-wide candidate.
-        online = DuelingNets(
+        online = QNets(
             v_net=linear_net([0.0], bias=0.0),
             a_net=linear_net([0.0, 0.0, 1.0], bias=0.0),  # adv = [0, 1]
         )
-        target = DuelingNets(
+        target = QNets(
             v_net=linear_net([0.0], bias=0.55),
             a_net=linear_net([0.0, 0.35, -0.35], bias=0.0),  # adv = [0.35, -0.35]
         )
@@ -263,9 +274,9 @@ class TestDuelingDoubleQ:
         online, _ = self.handcrafted_nets()
         state = sv(0.0)
         cands = (sv(1.0, 0.0), sv(0.0, 1.0))
-        q = dueling_q_values(online.v_net, online.a_net, state, cands)
+        q = q_values(online, state, cands)
         online.a_net.biases[0][0] += 5.0
-        q_shift = dueling_q_values(online.v_net, online.a_net, state, cands)
+        q_shift = q_values(online, state, cands)
         assert np.max(np.abs(q - q_shift)) < 1e-12
 
     def test_double_q_decoupling(self):
@@ -273,49 +284,160 @@ class TestDuelingDoubleQ:
         t = make_transition(reward=1.0, action_index=0)
         # online Q over next candidates = [-0.5, 0.5] -> picks candidate 1;
         # target Q = [0.9, 0.2] -> evaluates the ONLINE choice at 0.2
-        q_online = dueling_q_values(online.v_net, online.a_net, t.next_state, t.next_candidates)
+        q_online = q_values(online, t.next_state, t.next_candidates)
         assert int(np.argmax(q_online)) == 1
-        q_target = dueling_q_values(target.v_net, target.a_net, t.next_state, t.next_candidates)
+        q_target = q_values(target, t.next_state, t.next_candidates)
         assert abs(q_target[0] - 0.9) < 1e-12 and abs(q_target[1] - 0.2) < 1e-12
-        y = double_q_target(t, online, target, gamma=0.9)
-        assert abs(y - (1.0 + 0.9 * 0.2)) < 1e-12
-        assert abs(y - (1.0 + 0.9 * 0.9)) > 0.1  # not the target net's own max
+        # online Q over the current candidates is also [-0.5, 0.5]; action 0 was taken
+        q_sa = -0.5
+        loss = q_update([t], online, target, AdamState(), AgentConfig(gamma=0.9))
+        assert abs(loss - (q_sa - (1.0 + 0.9 * 0.2)) ** 2) < 1e-12
+        assert abs(loss - (q_sa - (1.0 + 0.9 * 0.9)) ** 2) > 0.1  # not the target net's own max
 
     def test_update_runs_and_reduces_residual(self):
         cfg = AgentConfig(kind="ddqn_dueling", gamma=0.9)
-        online = DuelingNets(
+        online = QNets(
             v_net=init_net((1, 8, 1), ("relu", "linear"), seed=0),
             a_net=init_net((3, 8, 1), ("relu", "linear"), seed=1),
         )
-        target = DuelingNets(v_net=online.v_net.copy(), a_net=online.a_net.copy())
-        adam_v, adam_a = AdamState(), AdamState()
+        target = QNets(v_net=online.v_net.copy(), a_net=online.a_net.copy())
+        adam = AdamState()
         t = make_transition(reward=1.0)
-        first = q_update_double_dueling([t], online, target, adam_v, adam_a, cfg)
+        first = q_update([t], online, target, adam, cfg)
         for _ in range(60):
-            last = q_update_double_dueling([t], online, target, adam_v, adam_a, cfg)
+            last = q_update([t], online, target, adam, cfg)
         assert last < first
 
     def test_architecture_mismatch(self):
         cfg = AgentConfig(kind="ddqn_dueling")
-        online = DuelingNets(
+        online = QNets(
             v_net=init_net((1, 4, 1), ("relu", "linear"), seed=0),
             a_net=init_net((3, 4, 1), ("relu", "linear"), seed=1),
         )
-        target = DuelingNets(
+        target = QNets(
             v_net=init_net((2, 4, 1), ("relu", "linear"), seed=0),
             a_net=init_net((3, 4, 1), ("relu", "linear"), seed=1),
         )
         with pytest.raises(ValueError):
-            q_update_double_dueling([make_transition()], online, target, AdamState(), AdamState(), cfg)
+            q_update([make_transition()], online, target, AdamState(), cfg)
 
     def test_sync_makes_nets_identical(self):
         agent = CascadeAgent(1, 2, AgentConfig(kind="ddqn_dueling", batch_size=1, target_sync_every=1))
         agent.observe(make_transition())
         state = sv(0.2)
         cands = (sv(1.0, 0.0), sv(0.0, 1.0))
-        q_on = dueling_q_values(agent.online.v_net, agent.online.a_net, state, cands)
-        q_tg = dueling_q_values(agent.target.v_net, agent.target.a_net, state, cands)
+        q_on = q_values(agent.online, state, cands)
+        q_tg = q_values(agent.target, state, cands)
         assert np.max(np.abs(q_on - q_tg)) < 1e-12
+
+
+def td_batch(seed):
+    """Seeded batch of 1-8 transitions over 1-14 candidates, with nets to match."""
+    rng = np.random.default_rng(seed)
+    state_w, cand_w = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+
+    def candidates():
+        return tuple(sv(*rng.normal(size=cand_w)) for _ in range(rng.integers(1, 15)))
+
+    batch = []
+    for _ in range(rng.integers(1, 9)):
+        cands = candidates()
+        batch.append(
+            Transition(
+                state=sv(*rng.normal(size=state_w)),
+                action_index=int(rng.integers(len(cands))),
+                candidates=cands,
+                reward=float(rng.normal()),
+                next_state=sv(*rng.normal(size=state_w)),
+                next_candidates=candidates(),
+            )
+        )
+    acts = ("relu", "relu", "linear")
+
+    def nets(net_seed):
+        return QNets(
+            a_net=init_net((state_w + cand_w, *HIDDEN, 1), acts, net_seed),
+            v_net=init_net((state_w, *HIDDEN, 1), acts, net_seed + 1),
+        )
+
+    return batch, nets(seed), nets(seed + 1000)
+
+
+class TestBatchedTDUpdate:
+    """``q_update`` against the former per-transition updates in ``agents_reference``."""
+
+    @staticmethod
+    def assert_close(grads, ref):
+        # every array to 1e-12 of its net's largest entry: A's output bias has an
+        # exact gradient of 0, so both paths leave only rounding noise there
+        scale = max(np.max(np.abs(r)) for r in ref)
+        for g, r in zip(grads, ref, strict=True):
+            assert np.max(np.abs(g - r)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["dqn", "dueling_shared_target", "dueling_separate_target"])
+    def test_matches_former_updates(self, kind, monkeypatch):
+        handed, ref_handed = [], []
+        monkeypatch.setattr(agents, "adam_update", lambda params, grads, state: handed.append(grads))
+        monkeypatch.setattr(
+            agents_reference, "adam_step", lambda net, grads, state: ref_handed.append([*grads[0], *grads[1]])
+        )
+        cfg = AgentConfig(gamma=0.9)
+        for seed in range(100):
+            batch, online, other = td_batch(seed)
+            handed.clear()
+            ref_handed.clear()
+            if kind == "dqn":
+                nets = QNets(online.a_net)
+                loss = q_update(batch, nets, nets, AdamState(), cfg)
+                ref_loss = agents_reference.q_update_vanilla(batch, online.a_net, AdamState(), cfg)
+                (ref_a,) = ref_handed
+                ref_v = []
+            else:
+                target = online if kind == "dueling_shared_target" else other
+                loss = q_update(batch, online, target, AdamState(), cfg)
+                ref_loss = agents_reference.q_update_double_dueling(
+                    batch,
+                    agents_reference.DuelingNets(v_net=online.v_net, a_net=online.a_net),
+                    agents_reference.DuelingNets(v_net=target.v_net, a_net=target.a_net),
+                    AdamState(),
+                    AdamState(),
+                    cfg,
+                )
+                ref_v, ref_a = ref_handed
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            (grads,) = handed
+            self.assert_close(grads[: len(ref_a)], ref_a)
+            if ref_v:
+                self.assert_close(grads[len(ref_a):], ref_v)
+            else:
+                assert len(grads) == len(ref_a)
+
+    def test_one_state_q_values_match_former_scores(self):
+        # select reads these: equal with == so the search picks what it picked
+        for seed in range(20):
+            batch, online, _ = td_batch(seed)
+            t = batch[0]
+            assert np.array_equal(
+                q_values(QNets(online.a_net), t.state, t.candidates),
+                agents_reference.score_candidates(online.a_net, t.state, t.candidates),
+            )
+            assert np.array_equal(
+                q_values(online, t.state, t.candidates),
+                agents_reference.dueling_q_values(online.v_net, online.a_net, t.state, t.candidates),
+            )
+
+    def test_one_adam_state_equals_one_per_net(self):
+        _, joint, _ = td_batch(3)
+        apart = QNets(a_net=joint.a_net.copy(), v_net=joint.v_net.copy())
+        one, adam_a, adam_v = AdamState(), AdamState(), AdamState()
+        rng = np.random.default_rng(0)
+        k = len(joint.a_net.weights)
+        for _ in range(5):
+            grads = [rng.normal(size=p.shape) for p in joint.params]
+            adam_update(joint.params, grads, one)
+            adam_step(apart.a_net, (grads[:k], grads[k : 2 * k]), adam_a)
+            adam_step(apart.v_net, (grads[2 * k : 3 * k], grads[3 * k :]), adam_v)
+        assert all(np.array_equal(p, q) for p, q in zip(joint.params, apart.params, strict=True))
 
 
 class TestActorCritic:
@@ -365,7 +487,7 @@ class TestActorCritic:
         t = make_transition(reward=2.0, action_index=1)
 
         def prob_of_action():
-            scores = score_candidates(actor, t.state, t.candidates)
+            scores = q_values(QNets(actor), t.state, t.candidates)
             from featforge.nnet import softmax
 
             return softmax(scores)[t.action_index]
@@ -404,6 +526,6 @@ class TestCascadeAgent:
         agent = CascadeAgent(1, 2, cfg)
         for i in range(3):
             agent.observe(make_transition(reward=float(i)))
-        q_on = dueling_q_values(agent.online.v_net, agent.online.a_net, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
-        q_tg = dueling_q_values(agent.target.v_net, agent.target.a_net, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
+        q_on = q_values(agent.online, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
+        q_tg = q_values(agent.target, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
         assert np.max(np.abs(q_on - q_tg)) < 1e-12

@@ -336,6 +336,10 @@ class TestCli:
             ("run", "epochs=1\nsteps=1\nagent.kind=sarsa\n", None),
             ("cluster", "clustering.epsilon=abc\n", None),
             ("cluster", "clustering.epsilon=0\n", None),
+            # an infinite epsilon makes every group distance 0
+            ("run", "epochs=1\nsteps=1\nclustering.epsilon=inf\n", None),
+            ("baseline", "epochs=1\nsteps=1\nclustering.epsilon=inf\n", None),
+            ("cluster", "clustering.epsilon=inf\n", None),
             ("run", "epochs=1\nsteps=1\nclustering.stop_threshold=abc\n", None),
             ("cluster", "clustering.stop_threshold=abc\n", None),
             # a stop threshold must be finite
@@ -379,7 +383,8 @@ class TestCli:
         ],
         ids=[
             "epochs", "env_seed", "n_trees", "agent_kind",
-            "cluster_epsilon", "cluster_zero_epsilon", "stop_threshold", "cluster_stop_threshold",
+            "cluster_epsilon", "cluster_zero_epsilon",
+            "epsilon_inf", "baseline_epsilon_inf", "cluster_epsilon_inf", "stop_threshold", "cluster_stop_threshold",
             "stop_threshold_nan", "baseline_stop_threshold_inf",
             "cluster_stop_threshold_nan", "cluster_stop_threshold_inf", "cluster_stop_threshold_neg_inf",
             "random_unary_yes", "random_binary_1", "no_cluster_no", "euclidean_distance_on",
