@@ -179,6 +179,8 @@ def q_update(
 
     The online nets pick each next candidate and the target nets value it
     (double Q); with ``target is online`` that value is the max, vanilla Q.
+    Without a dueling head only the taken candidate's row gets a gradient, so
+    only that row of each current state is run.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -186,29 +188,29 @@ def q_update(
         raise ValueError("online/target architecture mismatch")
     next_states = [t.next_state for t in batch]
     next_cands = [t.next_candidates for t in batch]
-    q_next, starts, _ = _q_rows(online, next_states, next_cands)
+    q_next, starts = _q_rows(online, next_states, next_cands)[:2]
     picked = starts + [int(np.argmax(seg)) for seg in np.split(q_next, starts[1:])]
     if target is not online:
         q_next = _q_rows(target, next_states, next_cands)[0]
     y = np.array([t.reward for t in batch]) + cfg.gamma * q_next[picked]
 
-    q, starts, (a_cache, v_cache) = _q_rows(
-        online, [t.state for t in batch], [t.candidates for t in batch]
-    )
-    taken = starts + [t.action_index for t in batch]
+    dueling = online.v_net is not None
+    cand_sets = [t.candidates if dueling else (t.candidates[t.action_index],) for t in batch]
+    q, starts, (a_cache, v_cache) = _q_rows(online, [t.state for t in batch], cand_sets)
+    taken = starts + [t.action_index if dueling else 0 for t in batch]
     delta = q[taken] - y
     coeff = 2.0 * delta / len(batch)
-    if online.v_net is None:
-        grad_q = np.zeros(len(q))
-    else:  # every A(s, c_j) enters its Q(s, a) through the mean
+    grad_q = np.zeros(len(q))
+    if dueling:  # every A(s, c_j) enters its Q(s, a) through the mean
         counts = np.array([len(t.candidates) for t in batch])
-        grad_q = np.repeat(-coeff / counts, counts)
+        grad_q -= np.repeat(coeff / counts, counts)
     grad_q[taken] += coeff
     gw, gb = backward(online.a_net, a_cache, grad_q[:, None])
     grads = [*gw, *gb]
-    if online.v_net is not None:
+    if dueling:
         gw, gb = backward(online.v_net, v_cache, coeff[:, None])
         grads += [*gw, *gb]
+    del a_cache, v_cache  # free the activations before Adam's temporaries
     adam_update(online.params, grads, adam)
     return float(np.mean(delta**2))
 
@@ -217,8 +219,7 @@ def ac_select(
     actor: DenseNet, state: StateVector, candidates, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Sample an action from the softmax over candidate logits."""
-    logits = q_values(QNets(actor), state, candidates)
-    probs = softmax(logits)
+    probs = softmax(forward(actor, _pairs([state], [candidates]))[0][:, 0])
     idx = int(rng.choice(len(probs), p=probs))
     return idx, probs
 
@@ -286,7 +287,6 @@ class CascadeAgent:
             )
             self.target = QNets(*(net.copy() for net in self.online.nets)) if ddqn else self.online
             self.adam = AdamState(learning_rate=LEARNING_RATE)
-            self._updates = 0
         self.memory = ReplayMemory(
             MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
         )
@@ -311,8 +311,7 @@ class CascadeAgent:
         if batch is None:
             return None
         loss = q_update(batch, self.online, self.target, self.adam, self.cfg)
-        self._updates += 1
-        if self.target is not self.online and self._updates % self.cfg.target_sync_every == 0:
+        if self.target is not self.online and self.adam.step % self.cfg.target_sync_every == 0:
             for mine, theirs in zip(self.target.nets, self.online.nets):
                 mine.copy_from(theirs)
         return loss

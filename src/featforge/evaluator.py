@@ -289,10 +289,13 @@ def knn_anomaly_scores(train_X, test_X, k: int = KNN_K) -> np.ndarray:
     if k >= len(train_X):
         raise ValueError("k must be < number of reference rows")
     xs, xt = _standardize(train_X, test_X)
-    d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :] - 2 * xt @ xs.T
+    # in place, so one test x train temporary is alive beside d2
+    d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :]
+    d2 -= 2 * xt @ xs.T
+    np.maximum(d2, 0.0, out=d2)
     # sqrt is monotone, so the k nearest by squared distance are the k nearest
-    part = np.partition(np.maximum(d2, 0.0), k - 1, axis=1)[:, :k]
-    return np.sort(np.sqrt(part), axis=1).mean(axis=1)
+    d2.partition(k - 1, axis=1)
+    return np.sort(np.sqrt(d2[:, :k]), axis=1).mean(axis=1)
 
 
 # ------------------------------------------------------------------- metrics

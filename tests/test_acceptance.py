@@ -10,6 +10,7 @@ from encoder_reference import pearson_abs
 from featforge.agents import (
     AgentConfig,
     QNets,
+    ac_select,
     ac_update,
     q_update,
     q_values,
@@ -18,7 +19,7 @@ from featforge.data_core import Dataset, Task
 from featforge.evaluator import ModelSpec, metric_1rae, metric_auc, metric_f1, train_random_forest
 from featforge.grouping import FeatureGroup, group_distance, m_cluster
 from featforge.measures import entropy, mutual_information, utility_u
-from featforge.nnet import AdamState, adam_step, gradient_check, init_net, softmax
+from featforge.nnet import AdamState, adam_step, gradient_check, init_net
 from featforge.operators import (
     ALL_OPERATIONS,
     FeatureExpr,
@@ -254,7 +255,7 @@ def test_criterion_4_rl_updates():
     t2 = _fixed_transition(reward=2.0, action_index=1)
 
     def prob():
-        return softmax(q_values(QNets(actor), t2.state, t2.candidates))[1]
+        return ac_select(actor, t2.state, t2.candidates, np.random.default_rng(0))[1][1]
 
     p_before = prob()
     ac_update(t2, actor, _linear_net([0.0]), AdamState(), AdamState(), cfg)

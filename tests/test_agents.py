@@ -1,3 +1,5 @@
+import tracemalloc
+
 import agents_reference
 import numpy as np
 import pytest
@@ -426,6 +428,66 @@ class TestBatchedTDUpdate:
                 agents_reference.dueling_q_values(online.v_net, online.a_net, t.state, t.candidates),
             )
 
+    @pytest.mark.parametrize("dueling", [False, True])
+    def test_peak_memory_within_former_updates(self, dueling):
+        # the operation agent's shape on outlier_ae (8 transitions x 14
+        # candidates, state 129 and candidate 143 wide): the batched arrays
+        # must not outgrow the per-transition ones, or the benchmark's peak
+        # RSS grows with them
+        rng = np.random.default_rng(0)
+
+        def rows(width, n):
+            return tuple(StateVector(values=rng.normal(size=width), method="test") for _ in range(n))
+
+        batch = [
+            Transition(
+                state=rows(129, 1)[0],
+                action_index=int(rng.integers(14)),
+                candidates=rows(143, 14),
+                reward=1.0,
+                next_state=rows(129, 1)[0],
+                next_candidates=rows(143, 14),
+            )
+            for _ in range(8)
+        ]
+        acts = ("relu", "relu", "linear")
+        online = QNets(
+            a_net=init_net((129 + 143, *HIDDEN, 1), acts, 0),
+            v_net=init_net((129, *HIDDEN, 1), acts, 1) if dueling else None,
+        )
+        target = QNets(*(net.copy() for net in online.nets)) if dueling else online
+        cfg = AgentConfig()
+
+        def peak(update):
+            update()  # the first call allocates the Adam moments
+            tracemalloc.start()
+            update()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        adam = AdamState()
+        batched = peak(lambda: q_update(batch, online, target, adam, cfg))
+        if dueling:
+            pair = agents_reference.DuelingNets(v_net=online.v_net, a_net=online.a_net)
+            other = agents_reference.DuelingNets(v_net=target.v_net, a_net=target.a_net)
+            adam_v, adam_a = AdamState(), AdamState()
+            former = peak(
+                lambda: agents_reference.q_update_double_dueling(batch, pair, other, adam_v, adam_a, cfg)
+            )
+        else:
+            former = peak(lambda: agents_reference.q_update_vanilla(batch, online.a_net, adam, cfg))
+        assert batched <= former
+
+    def test_dqn_runs_only_the_taken_rows(self, monkeypatch):
+        # without a dueling head no other current-state row gets a gradient
+        rows = []
+        monkeypatch.setattr(agents, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))
+        batch, online, _ = td_batch(1)
+        nets = QNets(online.a_net)
+        q_update(batch, nets, nets, AdamState(), AgentConfig())
+        assert rows == [sum(len(t.next_candidates) for t in batch), len(batch)]
+
     def test_one_adam_state_equals_one_per_net(self):
         _, joint, _ = td_batch(3)
         apart = QNets(a_net=joint.a_net.copy(), v_net=joint.v_net.copy())
@@ -487,10 +549,7 @@ class TestActorCritic:
         t = make_transition(reward=2.0, action_index=1)
 
         def prob_of_action():
-            scores = q_values(QNets(actor), t.state, t.candidates)
-            from featforge.nnet import softmax
-
-            return softmax(scores)[t.action_index]
+            return ac_select(actor, t.state, t.candidates, np.random.default_rng(0))[1][t.action_index]
 
         before = prob_of_action()
         ac_update(t, actor, critic, AdamState(), AdamState(), AgentConfig(gamma=0.9))
