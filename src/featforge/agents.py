@@ -25,7 +25,6 @@ class Transition:
     reward: float
     next_state: StateVector
     next_candidates: tuple[StateVector, ...]
-    action_prob: float = 1.0
 
     def __post_init__(self):
         if not self.next_candidates:
@@ -38,7 +37,7 @@ class Transition:
 
 HIDDEN = (64, 64)      # widths of each network's two hidden layers
 LEARNING_RATE = 0.01   # Adam step size of every network
-MEMORY_CAPACITY = 32   # transitions each agent's replay memory keeps
+MEMORY_CAPACITY = 32   # transitions each Q agent's replay memory keeps
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def ac_update(
 
 
 class CascadeAgent:
-    """One of the three cascading agents; owns its networks and replay memory."""
+    """One of the three cascading agents; owns its networks and, for the Q kinds, a replay memory."""
 
     def __init__(self, state_width: int, candidate_width: int, cfg: AgentConfig):
         self.cfg = cfg
@@ -287,9 +286,9 @@ class CascadeAgent:
             )
             self.target = QNets(*(net.copy() for net in self.online.nets)) if ddqn else self.online
             self.adam = AdamState(learning_rate=LEARNING_RATE)
-        self.memory = ReplayMemory(
-            MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
-        )
+            self.memory = ReplayMemory(
+                MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
+            )
 
     def select(self, state: StateVector, candidates, epsilon: float) -> tuple[int, float]:
         """Pick a candidate index; returns (index, probability of that action)."""
@@ -300,13 +299,14 @@ class CascadeAgent:
         return idx, 1.0
 
     def observe(self, t: Transition) -> float | None:
-        """Store a completed transition and run the optimizer; returns the loss."""
-        self.memory.push(t)
+        """Learn from a completed transition; returns the loss, or None before a Q
+        agent's replay memory holds a batch."""
         if self.cfg.kind == "actor_critic":
             critic_loss, _ = ac_update(
                 t, self.actor, self.critic, self.adam_actor, self.adam_critic, self.cfg
             )
             return critic_loss
+        self.memory.push(t)
         batch = self.memory.sample()
         if batch is None:
             return None

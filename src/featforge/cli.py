@@ -233,10 +233,11 @@ def _cmd_baseline(args):
 
 
 def _cmd_cluster(args):
-    cfg = _config(args).clustering
+    cfg = _config(args)
     dataset = _load(args)
+    metric = "euclidean" if cfg.euclidean_distance else "relevance_redundancy"
     partition = m_cluster(
-        dataset.samples, dataset.target, stop_threshold=cfg.stop_threshold, epsilon=cfg.epsilon
+        dataset.samples, dataset.target, cfg.clustering.stop_threshold, cfg.clustering.epsilon, metric
     )
     groups = [
         [dataset.feature_names[i] for i in g.indices] for g in partition.groups

@@ -1,8 +1,9 @@
 """Feature grouping: relevance/redundancy group distance and agglomerative merging.
 
-Groups start as singletons and the closest pair is merged until the minimum
-pairwise distance exceeds a threshold (or only 2 groups remain, since the
-cascading agents need two selectable groups).
+A group distance is the mean of a block of single-feature distances, so
+M-Clustering is average linkage with a stop threshold: the closest pair of
+groups merges until their distance exceeds it or 2 groups remain (the cascading
+agents need two).  The Euclidean ablation, between group means, is centroid linkage.
 """
 
 from __future__ import annotations
@@ -69,13 +70,6 @@ def _single_distances(pair_mi: np.ndarray, target_mi: np.ndarray, epsilon: float
     return np.abs(target_mi[:, None] - target_mi[None, :]) / (pair_mi + epsilon)
 
 
-def _euclidean_group_distance(g1, g2, features: np.ndarray) -> float:
-    """Ablation metric: Euclidean distance between group mean vectors."""
-    v1 = features[:, list(g1)].mean(axis=1)
-    v2 = features[:, list(g2)].mean(axis=1)
-    return float(np.linalg.norm(v1 - v2))
-
-
 def m_cluster(
     features,
     target,
@@ -92,9 +86,11 @@ def m_cluster(
     lexicographically smallest member indices, so results are deterministic.
     ``features`` is an m x n array or a FeatureTable; ``mi`` is the run's engine.
 
-    Each merge recomputes only the merged group's distances.  ``dist[a, b]``
-    holds the distance between the groups whose smallest members are a < b and
-    +inf elsewhere, so the first row-major minimum is the tie-break's pair.
+    ``dist`` is one symmetric matrix indexed by each group's smallest member,
+    +inf on the diagonal and for merged-away groups, so the first row-major
+    minimum is the tie-break's pair.  A merge writes one Lance-Williams row: the
+    size-weighted mean of the two rows, less na*nb/(na+nb)^2 * dist[a, b] for the
+    Euclidean metric, which holds squared distances and compares their roots.
     """
     mi, names, values = named_columns(features, target, mi)
     n = values.shape[1]
@@ -104,46 +100,46 @@ def m_cluster(
         )
 
     upper = np.triu_indices(n, 1)
-    dist = np.full((n, n), np.inf)
     if metric == "relevance_redundancy":
-        singles = _single_distances(mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
-
-        def group_dist(g1, g2):
-            return float(np.mean(singles[np.ix_(g1, g2)]))
-
-        dist[upper] = singles[upper]
+        dist = _single_distances(mi.pair_mi(names, values), mi.target_mi(names, values), epsilon)
+        root = np.asarray  # the distances themselves
     elif metric == "euclidean":
-
-        def group_dist(g1, g2):
-            return _euclidean_group_distance(g1, g2, values)
-
-        dist[upper] = [group_dist((a,), (b,)) for a, b in zip(*upper)]
+        dist = np.empty((n, n))
+        for a, b in zip(*upper):
+            u = values[:, a] - values[:, b]
+            dist[a, b] = dist[b, a] = np.dot(u, u)  # sqrt of this is np.linalg.norm(u)
+        root = np.sqrt
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    np.fill_diagonal(dist, np.inf)
 
     if stop_threshold == "auto":
-        threshold = float(np.mean(dist[upper]))
+        threshold = float(np.mean(root(dist[upper])))
     else:
         threshold = float(stop_threshold)
 
-    groups = {i: (i,) for i in range(n)}  # keyed by smallest member
-    while len(groups) > 2:
+    size = np.ones(n)  # members of the group named by its smallest member; 0 once merged away
+    owner = np.arange(n)  # each feature's group
+    for _ in range(n - 2):
         a, b = divmod(int(np.argmin(dist)), n)
-        if dist[a, b] > threshold:
+        d = dist[a, b]
+        if root(d) > threshold:
             break
-        if dist[a, b] == np.inf:  # every distance is infinite: the first pair
-            a, b = sorted(groups)[:2]
-        merged = tuple(sorted(groups.pop(a) + groups.pop(b)))
-        groups[a] = merged
-        dist[b, :] = dist[:, b] = np.inf
-        for k, g in groups.items():
-            if k < a:
-                dist[k, a] = group_dist(g, merged)
-            elif k > a:
-                dist[a, k] = group_dist(merged, g)
+        if d == np.inf:  # every distance is infinite: the first pair
+            a, b = np.flatnonzero(size)[:2]
+        na, nb = size[a], size[b]
+        row = (na * dist[a] + nb * dist[b]) / (na + nb)
+        if metric == "euclidean" and d < np.inf:
+            row -= na * nb / (na + nb) ** 2 * d
+        dist[a], dist[:, a] = row, row
+        dist[b], dist[:, b] = np.inf, np.inf
+        size[a], size[b] = na + nb, 0
+        owner[owner == b] = a
 
     return GroupPartition(
-        groups=tuple(FeatureGroup(groups[k]) for k in sorted(groups)),
+        groups=tuple(
+            FeatureGroup(tuple(np.flatnonzero(owner == k).tolist())) for k in np.flatnonzero(size)
+        ),
         threshold_used=threshold,
         epsilon=epsilon,
     )

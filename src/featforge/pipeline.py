@@ -153,13 +153,9 @@ class _CascadePolicy:
             state = compose_state(role, parts)
             if self.pending[k] is not None:
                 agent.observe(self.pending[k](next_state=state, next_candidates=candidates))
-            idx, prob = agent.select(state, candidates, eps)
+            idx, _ = agent.select(state, candidates, eps)
             self.pending[k] = partial(
-                Transition,
-                state=state,
-                action_index=idx,
-                candidates=candidates,
-                action_prob=prob,
+                Transition, state=state, action_index=idx, candidates=candidates
             )
             parts.append(candidates[idx])
             chosen.append(idx)

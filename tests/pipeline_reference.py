@@ -42,14 +42,13 @@ def _group_names(table: FeatureTable, group: FeatureGroup) -> list[str]:
 class _PendingTransition:
     """Half-built transition waiting for the next step's state and candidates."""
 
-    __slots__ = ("state", "action_index", "candidates", "reward", "prob")
+    __slots__ = ("state", "action_index", "candidates", "reward")
 
-    def __init__(self, state, action_index, candidates, reward, prob):
+    def __init__(self, state, action_index, candidates, reward):
         self.state = state
         self.action_index = action_index
         self.candidates = candidates
         self.reward = reward
-        self.prob = prob
 
     def finalize(self, next_state: StateVector, next_candidates) -> Transition:
         return Transition(
@@ -59,7 +58,6 @@ class _PendingTransition:
             reward=self.reward,
             next_state=next_state,
             next_candidates=tuple(next_candidates),
-            action_prob=self.prob,
         )
 
 
@@ -142,13 +140,13 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
                 agent1.observe(pending["g1"].finalize(state1, group_reps))
 
             eps = epsilon_at(global_step, agent1.cfg)
-            idx1, prob1 = agent1.select(state1, group_reps, eps)
+            idx1, _ = agent1.select(state1, group_reps, eps)
             c1 = partition.groups[idx1]
 
             state_op = compose_state("operation", [rep_f, group_reps[idx1]])
             if pending["op"] is not None:
                 agent_op.observe(pending["op"].finalize(state_op, op_candidates))
-            idx_op, prob_op = agent_op.select(state_op, op_candidates, eps)
+            idx_op, _ = agent_op.select(state_op, op_candidates, eps)
             op = ALL_OPERATIONS[idx_op]
 
             state2 = compose_state(
@@ -156,7 +154,7 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
             )
             if pending["g2"] is not None:
                 agent2.observe(pending["g2"].finalize(state2, group_reps))
-            idx2, prob2 = agent2.select(state2, group_reps, eps)
+            idx2, _ = agent2.select(state2, group_reps, eps)
             c2 = partition.groups[idx2]
 
             if op.is_binary:
@@ -175,9 +173,9 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
             if cfg.r1_delta:
                 r1 = r_op
 
-            pending["g1"] = _PendingTransition(state1, idx1, group_reps, r1, prob1)
-            pending["op"] = _PendingTransition(state_op, idx_op, op_candidates, r_op, prob_op)
-            pending["g2"] = _PendingTransition(state2, idx2, group_reps, r2, prob2)
+            pending["g1"] = _PendingTransition(state1, idx1, group_reps, r1)
+            pending["op"] = _PendingTransition(state_op, idx_op, op_candidates, r_op)
+            pending["g2"] = _PendingTransition(state2, idx2, group_reps, r2)
 
             if v_a > best.score:
                 best = BestFeatureSet(table=new_table, score=v_a, step=global_step)

@@ -291,6 +291,15 @@ def merging_fixture(m=150):
     )
 
 
+def correlated_blocks(rng, m):
+    """8 latent factors seen through 5 noisy copies each, plus 12 products of two copies."""
+    z = rng.normal(size=(m, 8))
+    x = np.repeat(z, 5, axis=1) + 0.5 * rng.normal(size=(m, 40))
+    i, j = rng.integers(40, size=(2, 12))
+    y = np.digitize(z[:, 0] * z[:, 1] + 0.7 * z[:, 2], (-0.45, 0.45)).astype(float)
+    return np.column_stack([x, x[:, i] * x[:, j]]), y
+
+
 class TestExactMI:
     """The engine and the incremental clustering give the per-call reference's floats."""
 
@@ -324,6 +333,15 @@ class TestExactMI:
             partition = m_cluster(X, y, stop_threshold=threshold, metric=metric)
             expected = mi_reference.m_cluster(X, y, stop_threshold=threshold, metric=metric)
             assert partition == expected, f"trial {trial}"
+        # correlated column blocks, as in the benchmark's classification workload,
+        # widened to 52 columns: ~50-merge chains of row updates
+        for seed in range(3):
+            X, y = correlated_blocks(np.random.default_rng(seed), 160)
+            for threshold in ("auto", np.inf):
+                for metric in metrics:
+                    partition = m_cluster(X, y, stop_threshold=threshold, metric=metric)
+                    expected = mi_reference.m_cluster(X, y, stop_threshold=threshold, metric=metric)
+                    assert partition == expected, (seed, threshold, metric)
 
     def test_infinite_distances_merge_in_order(self):
         rng = np.random.default_rng(3)

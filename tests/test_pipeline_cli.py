@@ -13,6 +13,7 @@ from featforge.cli import cli_main
 from featforge.data_core import Dataset, Task, load_csv, make_split
 from featforge.evaluator import ModelSpec, downstream_performance, evaluate_predictions, predict_test_side
 from featforge.generation import FeatureTable, GenerationConfig
+from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import (
     BestFeatureSet,
@@ -226,6 +227,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         names = sorted(n for g in payload["groups"] for n in g)
         assert names == ["f1", "f2", "f3", "f4"]
+
+    def test_cluster_subcommand_honours_euclidean_ablation(self, tmp_path, capsys):
+        path, d = write_dataset_csv(tmp_path)
+        printed = {}
+        for metric, flag in (("relevance_redundancy", "false"), ("euclidean", "true")):
+            cfg_path = tmp_path / f"{metric}.cfg"
+            cfg_path.write_text(f"ablation.euclidean_distance = {flag}\n")
+            code = cli_main(["cluster", "--data", path, "--target", "y", "--task", "reg", "--config", str(cfg_path)])
+            assert code == 0
+            printed[metric] = json.loads(capsys.readouterr().out)
+            partition = m_cluster(d.samples, d.target, metric=metric)
+            assert printed[metric] == {
+                "groups": [[d.feature_names[i] for i in g.indices] for g in partition.groups],
+                "threshold_used": partition.threshold_used,
+            }
+        assert printed["euclidean"] != printed["relevance_redundancy"]
 
     def test_evaluate_subcommand(self, tmp_path, capsys):
         path, _ = write_dataset_csv(tmp_path, task=Task.CLASSIFICATION)
