@@ -61,7 +61,8 @@ class AgentConfig:
             raise ValueError("epsilon_decay must be in (0, 1]")
         if self.batch_size < 1 or self.target_sync_every < 1:
             raise ValueError("batch_size and target_sync_every must be positive")
-        if self.batch_size > MEMORY_CAPACITY:
+        if self.kind != "actor_critic" and self.batch_size > MEMORY_CAPACITY:
+            # only the two Q kinds keep a replay memory to sample batches from
             raise ValueError(f"batch_size must be <= the replay memory's {MEMORY_CAPACITY}")
         if not 0.0 <= self.entropy_beta < np.inf:
             raise ValueError("entropy_beta must be finite and >= 0")

@@ -235,10 +235,7 @@ def _cmd_baseline(args):
 def _cmd_cluster(args):
     cfg = _config(args)
     dataset = _load(args)
-    metric = "euclidean" if cfg.euclidean_distance else "relevance_redundancy"
-    partition = m_cluster(
-        dataset.samples, dataset.target, cfg.clustering.stop_threshold, cfg.clustering.epsilon, metric
-    )
+    partition = m_cluster(dataset.samples, dataset.target, **cfg.cluster_kwargs())
     groups = [
         [dataset.feature_names[i] for i in g.indices] for g in partition.groups
     ]

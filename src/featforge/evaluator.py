@@ -280,22 +280,32 @@ def _standardize(train: np.ndarray, other: np.ndarray):
 
 
 KNN_K = 5  # neighbours whose mean distance is a row's anomaly score
+# test x train distance cells that one block of test rows builds at once:
+# bounds the scorer's temporaries whatever the number of train rows
+_KNN_CELLS = 1 << 15
 
 
 def knn_anomaly_scores(train_X, test_X, k: int = KNN_K) -> np.ndarray:
     """Mean distance of each test point to its k nearest train neighbors."""
     train_X = np.asarray(train_X, dtype=float)
     test_X = np.asarray(test_X, dtype=float)
-    if k >= len(train_X):
-        raise ValueError("k must be < number of reference rows")
+    if not 1 <= k < len(train_X):
+        raise ValueError(f"k must satisfy 1 <= k < train rows ({len(train_X)}), got {k}")
     xs, xt = _standardize(train_X, test_X)
-    # in place, so one test x train temporary is alive beside d2
-    d2 = np.sum(xt**2, axis=1)[:, None] + np.sum(xs**2, axis=1)[None, :]
-    d2 -= 2 * xt @ xs.T
-    np.maximum(d2, 0.0, out=d2)
-    # sqrt is monotone, so the k nearest by squared distance are the k nearest
-    d2.partition(k - 1, axis=1)
-    return np.sort(np.sqrt(d2[:, :k]), axis=1).mean(axis=1)
+    nt = np.sum(xt**2, axis=1)
+    ns = np.sum(xs**2, axis=1)
+    scores = np.empty(len(xt))
+    step = max(1, _KNN_CELLS // len(xs))
+    for lo in range(0, len(xt), step):
+        blk = slice(lo, lo + step)
+        # in place, so one block x train temporary is alive beside d2
+        d2 = nt[blk, None] + ns
+        d2 -= (2 * xt[blk]) @ xs.T
+        np.maximum(d2, 0.0, out=d2)
+        # sqrt is monotone, so the k nearest by squared distance are the k nearest
+        d2.partition(k - 1, axis=1)
+        scores[blk] = np.sort(np.sqrt(d2[:, :k]), axis=1).mean(axis=1)
+    return scores
 
 
 # ------------------------------------------------------------------- metrics

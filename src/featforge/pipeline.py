@@ -78,6 +78,14 @@ class PipelineConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    def cluster_kwargs(self) -> dict:
+        """``m_cluster``'s settings; ``run`` and ``cluster`` both read them here."""
+        return dict(
+            stop_threshold=self.clustering.stop_threshold,
+            epsilon=self.clustering.epsilon,
+            metric="euclidean" if self.euclidean_distance else "relevance_redundancy",
+        )
+
 
 @dataclass
 class RunReport:
@@ -132,14 +140,7 @@ class _CascadePolicy:
         if cfg.no_cluster or table.n_features == 1:
             partition = _singleton_partition(table.n_features)
         else:
-            partition = m_cluster(
-                table,
-                self.y,
-                stop_threshold=cfg.clustering.stop_threshold,
-                epsilon=cfg.clustering.epsilon,
-                metric="euclidean" if cfg.euclidean_distance else "relevance_redundancy",
-                mi=self.mi,
-            )
+            partition = m_cluster(table, self.y, mi=self.mi, **cfg.cluster_kwargs())
         rep_f = self.encoder.encode(table.values, scope="set")
         group_reps = tuple(
             self.encoder.encode(table.values[:, list(g.indices)], scope="group")
@@ -312,9 +313,9 @@ def export_trace(best: BestFeatureSet, out_dir: str) -> tuple[str, str]:
             }
             fh.write(json.dumps(rec) + "\n")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)  # writes each float as its repr
-        writer.writerow(best.table.names)
-        writer.writerows(best.table.values.tolist())
+        csv.writer(fh).writerow(best.table.names)  # a name may need quoting
+        # a float never does: each row is what csv.writer writes, each float's repr
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in best.table.values.tolist())
     return trace_path, csv_path
 
 

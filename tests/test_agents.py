@@ -79,6 +79,13 @@ class TestAgentConfig:
             batch_size=MEMORY_CAPACITY,
         )
 
+    def test_batch_cap_only_for_replay_kinds(self):
+        """Actor-critic agents keep no replay memory, so its capacity does not cap them."""
+        AgentConfig(kind="actor_critic", batch_size=40)
+        for kind in ("dqn", "ddqn_dueling"):
+            with pytest.raises(ValueError, match="replay memory"):
+                AgentConfig(kind=kind, batch_size=40)
+
 
 class TestEpsilonSchedule:
     def test_formula(self):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import forest_reference
@@ -362,6 +363,63 @@ class TestKnn:
             scores = knn_anomaly_scores(train, test, k=k)
             assert np.array_equal(scores, expected)
             assert np.array_equal(scores, knn_reference.knn_anomaly_scores(train, test, k=k))
+
+    def test_k_below_one_raises(self):
+        """k = 0 used to give nan scores; a one-row train side asks for it."""
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="1 <= k < train rows"):
+                knn_anomaly_scores(np.ones((1, 2)), np.zeros((3, 2)), k=k)
+        split = SplitPlan(train_indices=np.array([0]), test_indices=np.array([1, 2]), seed=0)
+        with pytest.raises(ValueError, match="1 <= k < train rows"):
+            evaluator.predict_test_side(
+                np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 0.0]), Task.OUTLIER_DETECTION, ModelSpec(), split
+            )
+
+    @staticmethod
+    def block_rows(train) -> int:
+        return max(1, evaluator._KNN_CELLS // len(train))
+
+    def test_reference_inputs_fit_one_block(self):
+        """The whole-matrix oracle above compares one block against one whole matrix."""
+        for train, test, _ in knn_reference.knn_inputs():
+            assert len(test) <= self.block_rows(train)
+
+    def test_blocks_match_reference_per_block(self):
+        """Scores ``==`` the reference applied to each block of test rows in turn.
+
+        A block's GEMM can differ from the whole matrix's in the last bit, so
+        the oracle runs the same block-sized products.
+        """
+        rng = np.random.default_rng(15)
+        ties = rng.integers(0, 3, size=(3000, 2)).astype(float)
+        cases = [
+            (rng.normal(size=(1600, 12)), rng.normal(size=(400, 12)), 5),  # outlier_ae's V_A shape
+            (rng.normal(size=(1600, 12)), rng.normal(size=(410, 12)), 5),  # a 10-row remainder block
+            (rng.normal(size=(1600, 3)), rng.normal(size=(401, 3)), 1),  # a one-row remainder block
+            (rng.normal(size=(40000, 3)), rng.normal(size=(5, 3)), 5),  # one row per block
+            (ties, np.vstack([ties[:50], rng.integers(0, 3, size=(50, 2))]), 7),  # tied distances
+        ]
+        for train, test, k in cases:
+            rows = self.block_rows(train)
+            assert len(test) > rows
+            expected = np.concatenate([
+                knn_reference.knn_anomaly_scores(train, test[lo : lo + rows], k=k)
+                for lo in range(0, len(test), rows)
+            ])
+            assert np.array_equal(knn_anomaly_scores(train, test, k=k), expected)
+
+    def test_peak_memory_is_bounded(self):
+        """At 20000 train x 2000 test rows the whole distance matrix would be 320 MB."""
+        rng = np.random.default_rng(0)
+        train, test = rng.normal(size=(20000, 8)), rng.normal(size=(2000, 8))
+        tracemalloc.start()
+        try:
+            scores = knn_anomaly_scores(train, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (2000,) and np.all(np.isfinite(scores))
+        assert peak < 4 * 2**20
 
 
 def brute_force_macro_f1(pred, truth):

@@ -183,6 +183,24 @@ class TestExportTrace:
         assert [r["name"] for r in records] == ["f1", "f2", "f3", "f4"]
         assert all(r["depth"] == 0 for r in records)
 
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        """The joined rows are the bytes that ``csv.writer`` writes, quoted names included."""
+        import csv as _csv
+        import io
+
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(30, 4)) * 10.0 ** rng.integers(-300, 300, size=(30, 4))
+        values[0] = [-0.0, 5e-324, 1.0, -1.7976931348623157e308]
+        d = Dataset(samples=values, feature_names=("a,b", 'say "hi"', "f3", "f 4"), target=np.zeros(30), task=Task.REGRESSION)
+        best = BestFeatureSet(table=FeatureTable.from_dataset(d), score=0.0, step=-1)
+        _, csv_path = export_trace(best, str(tmp_path))
+        expected = io.StringIO(newline="")
+        writer = _csv.writer(expected)
+        writer.writerow(best.table.names)
+        writer.writerows(values.tolist())
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == expected.getvalue()
+
 
 def write_dataset_csv(tmp_path, task=Task.REGRESSION, seed=0):
     d = small_dataset(seed=seed, task=task)
