@@ -6,16 +6,19 @@ autoencoder bottleneck with a mirrored linear decoder), ``gae`` (one-layer
 graph convolutional autoencoder over the feature correlation graph).  Each has
 a ``length`` and an ``encode(features)`` that returns exactly that many
 values; ``StateEncoder`` concatenates them for ``ds+ae`` and ``ds+ae+gae``.
-ds is pure; ae/gae own training state and are warm-started between calls.  A
-change of the input's row count rebuilds a network from its seed; a change of
-its column count keeps the learned weights and Adam state (the ae resizes only
-``wr``, ``wr2`` and ``br2``) and fine-tunes them.
+ds is pure; ae/gae own training state and are warm-started between calls.
+Both networks read the same rows: all of them up to ``row_subsample_cap``,
+above it one seeded sample of that many (``_subsample_rows``).  A change of the
+sampled row count rebuilds a network from its seed; a change of the column
+count keeps the learned weights and Adam state (the ae resizes only ``wr``,
+``wr2`` and ``br2``) and fine-tunes them.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +33,6 @@ DS_LENGTH = 49
 @dataclass(frozen=True)
 class StateVector:
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -68,7 +70,7 @@ def rep_ds(features) -> StateVector:
     if features.ndim == 1:
         features = features[:, None]
     meta = descriptive_stats(descriptive_stats(features.T)).T
-    return StateVector(values=meta.ravel(), method="ds")
+    return StateVector(values=meta.ravel())
 
 
 def rep_operation(op_index: int, op_count: int) -> StateVector:
@@ -76,7 +78,7 @@ def rep_operation(op_index: int, op_count: int) -> StateVector:
         raise ValueError(f"op index {op_index} out of range [0, {op_count})")
     v = np.zeros(op_count)
     v[op_index] = 1.0
-    return StateVector(values=v, method="onehot")
+    return StateVector(values=v)
 
 
 def compose_state(role: str, parts) -> StateVector:
@@ -87,7 +89,16 @@ def compose_state(role: str, parts) -> StateVector:
     if len(parts) != arity[role]:
         raise ValueError(f"role {role!r} expects {arity[role]} parts, got {len(parts)}")
     values = np.concatenate([p.values for p in parts])
-    return StateVector(values=values, method="concat")
+    return StateVector(values=values)
+
+
+@lru_cache(maxsize=8)
+def _subsample_rows(m: int, cfg: EncoderConfig) -> np.ndarray:
+    """The rows the ae and the gae read: all m, or a seeded sorted sample of the cap."""
+    cap = cfg.row_subsample_cap
+    rows = np.arange(m) if m <= cap else np.sort(np.random.default_rng(cfg.seed + m).choice(m, cap, replace=False))
+    rows.flags.writeable = False  # cached: every caller shares it
+    return rows
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, *shape: int) -> np.ndarray:
@@ -108,23 +119,12 @@ class AutoencoderEncoder:
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         self._shape: tuple[int, int] | None = None
-        self._subsample: dict[int, np.ndarray] = {}
         self._params: list[np.ndarray] = []
         self._adam = AdamState()
 
     @property
     def length(self) -> int:
         return self.cfg.ae_col_dim * self.cfg.ae_row_dim
-
-    def _rows(self, m: int) -> np.ndarray:
-        if m <= self.cfg.row_subsample_cap:
-            return np.arange(m)
-        if m not in self._subsample:
-            rng = np.random.default_rng(self.cfg.seed + m)
-            self._subsample[m] = np.sort(
-                rng.choice(m, size=self.cfg.row_subsample_cap, replace=False)
-            )
-        return self._subsample[m]
 
     def _build(self, m_s: int, n: int) -> None:
         k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
@@ -198,7 +198,7 @@ class AutoencoderEncoder:
     def _prepare(self, features: np.ndarray) -> np.ndarray:
         if features.ndim == 1:
             features = features[:, None]
-        return features[self._rows(features.shape[0]), :]
+        return features[_subsample_rows(features.shape[0], self.cfg), :]
 
     def encode(self, features) -> StateVector:
         f = self._prepare(np.asarray(features, dtype=float))
@@ -212,17 +212,19 @@ class AutoencoderEncoder:
             self._resize(f.shape[1])
         for _ in range(epochs):
             self._train_step(f)
-        return StateVector(values=self._forward(f)[3].ravel(), method="ae")
+        return StateVector(values=self._forward(f)[3].ravel())
 
 
 class GraphAutoencoderEncoder:
     """One-layer GCN over the |pearson| feature graph; state = mean node embedding.
 
-    Its one weight ``w`` is (rows x gae_dim), so only a row-count change
-    rebuilds it; across column counts it is fine-tuned with its Adam state.
-    A one-column input has no graph: its state is the 49-value ds vector
-    folded to ``gae_dim`` values (entry i adds into i mod gae_dim, so a wider
-    gae pads with zeros).
+    It reads the ae's rows (``_subsample_rows``): a node's features are its
+    column's sampled values.  Its one weight ``w`` is (sampled rows x gae_dim),
+    so only a change of the sampled row count rebuilds it; across column
+    counts it is fine-tuned with its Adam state.  A one-column input has no
+    graph: its state is the 49-value ds vector of all its rows, folded to
+    ``gae_dim`` values (entry i adds into i mod gae_dim, so a wider gae pads
+    with zeros).
     """
 
     adjacency = staticmethod(abs_correlations)
@@ -272,23 +274,23 @@ class GraphAutoencoderEncoder:
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features[:, None]
-        m, n = features.shape
-        if n < 2:
+        if features.shape[1] < 2:
             # a one-column group is a normal M-Clustering result
-            log.debug("gae needs >= 2 features (got %d); falling back to ds", n)
+            log.debug("gae needs >= 2 features (got %d); falling back to ds", features.shape[1])
             ds, width = rep_ds(features).values, self.cfg.gae_dim
             folded = np.bincount(np.arange(DS_LENGTH) % width, weights=ds, minlength=width)
-            return StateVector(values=folded, method="gae")
-        a = self.adjacency(features)
-        msg = self._message_matrix(features, a)
+            return StateVector(values=folded)
+        f = features[_subsample_rows(features.shape[0], self.cfg), :]
+        a = self.adjacency(f)
+        msg = self._message_matrix(f, a)
         epochs = self.cfg.incremental_epochs
-        if self._w is None or len(self._w) != m:
-            self._build(m)
+        if self._w is None or len(self._w) != len(f):
+            self._build(len(f))
             epochs = self.cfg.train_epochs
         for _ in range(epochs):
             self._train_step(msg, a)
         z = self._forward(msg)[1]
-        return StateVector(values=z.mean(axis=0), method="gae")
+        return StateVector(values=z.mean(axis=0))
 
 
 class DescriptiveStatsEncoder:
@@ -334,4 +336,4 @@ class StateEncoder:
     def encode(self, features, scope: str = "set") -> StateVector:
         """Encode a feature matrix; ``scope`` keys warm-started network state."""
         pieces = [part.encode(features).values for part in self._parts(scope)]
-        return StateVector(values=np.concatenate(pieces), method=self.method)
+        return StateVector(values=np.concatenate(pieces))

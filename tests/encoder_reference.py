@@ -10,10 +10,12 @@ before warm starts crossed width changes, and `pearson_abs` the former
 call per column and per stat) are the former `measures` and `state_rep`
 functions, and `_fit_length` the former `StateEncoder` fold of the gae's
 one-column ds fallback, all verbatim. The tests require the current encoders
-to match these with `==` over inputs of one shape, `measures.abs_correlations`
-to match the per-pair loop of `GraphAutoencoderEncoder.adjacency`, and the
-current array-pass statistics and gae fold to match these per-call versions
-on the seeded matrices of `stat_inputs`.
+to match these with `==` over inputs of one shape (above `row_subsample_cap`
+the current gae reads only the ae's sampled rows, so it is compared with the
+reference gae given those rows), `measures.abs_correlations` to match the
+per-pair loop of `GraphAutoencoderEncoder.adjacency`, and the current
+array-pass statistics and gae fold to match these per-call versions on the
+seeded matrices of `stat_inputs`.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def rep_ds(features) -> StateVector:
     meta = np.column_stack(
         [descriptive_stats(col_stats[i, :]).as_array() for i in range(7)]
     ).T  # 7 x 7, row i = stats of stat-row i
-    return StateVector(values=meta.ravel(), method="ds")
+    return StateVector(values=meta.ravel())
 
 
 def _fit_length(vec: np.ndarray, length: int) -> np.ndarray:
@@ -211,7 +213,7 @@ class AutoencoderEncoder:
         for _ in range(epochs):
             self._train_step(f)
         z2 = self._forward(f)[3]
-        return StateVector(values=z2.ravel(), method="ae")
+        return StateVector(values=z2.ravel())
 
 
 class GraphAutoencoderEncoder:
@@ -288,7 +290,7 @@ class GraphAutoencoderEncoder:
         for _ in range(epochs):
             self._train_step(msg, a)
         z = self._forward(msg)[1]
-        return StateVector(values=z.mean(axis=0), method="gae")
+        return StateVector(values=z.mean(axis=0))
 
 
 def stat_inputs():

@@ -195,7 +195,7 @@ def test_criterion_3_neural_substrate():
 
 
 def _sv(*values):
-    return StateVector(values=np.array(values, dtype=float), method="test")
+    return StateVector(values=np.array(values, dtype=float))
 
 
 def _linear_net(weights, bias=0.0):

@@ -26,7 +26,7 @@ from featforge.state_rep import StateVector
 
 
 def sv(*values):
-    return StateVector(values=np.array(values, dtype=float), method="test")
+    return StateVector(values=np.array(values, dtype=float))
 
 
 def make_transition(reward=1.0, action_index=0):
@@ -444,7 +444,7 @@ class TestBatchedTDUpdate:
         rng = np.random.default_rng(0)
 
         def rows(width, n):
-            return tuple(StateVector(values=rng.normal(size=width), method="test") for _ in range(n))
+            return tuple(StateVector(values=rng.normal(size=width)) for _ in range(n))
 
         batch = [
             Transition(

@@ -26,10 +26,10 @@ def random_features(seed=0, m=50, n=5):
 class TestStateVector:
     def test_finite_required(self):
         with pytest.raises(ValueError):
-            StateVector(values=np.array([1.0, np.inf]), method="ds")
+            StateVector(values=np.array([1.0, np.inf]))
 
     def test_flattened(self):
-        v = StateVector(values=np.ones((2, 3)), method="ds")
+        v = StateVector(values=np.ones((2, 3)))
         assert len(v) == 6
 
 
@@ -346,11 +346,13 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind,ref_kind", KINDS)
     @pytest.mark.parametrize("m,n,cap", [(40, 5, 256), (30, 2, 256), (300, 7, 64)])
     def test_same_width_matches_reference(self, kind, ref_kind, m, n, cap):
+        """Above the cap the gae is the full-row reference on the ae's sampled rows."""
         cfg = EncoderConfig(seed=11, row_subsample_cap=cap)
         enc, ref = kind(cfg), ref_kind(cfg)
+        rows = state_rep._subsample_rows(m, cfg) if kind is GraphAutoencoderEncoder else slice(None)
         for seed in range(4):
             f = random_features(seed, m=m, n=n)
-            assert np.array_equal(enc.encode(f).values, ref.encode(f).values)
+            assert np.array_equal(enc.encode(f).values, ref.encode(f[rows]).values)
             assert _equal(_weights(enc), _weights(ref))
             assert _equal(_moments(enc), _moments(ref))
             assert enc._adam.step == ref._adam.step == cfg.train_epochs + seed * cfg.incremental_epochs
@@ -425,3 +427,32 @@ class TestWarmStart:
         enc.encode(random_features(1, m=120, n=3))
         assert enc._shape == (32, 3)
         assert enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
+
+    def test_gae_subsampled_rows_do_not_rebuild(self):
+        cfg = EncoderConfig(row_subsample_cap=32)
+        enc = GraphAutoencoderEncoder(cfg)
+        enc.encode(random_features(0, m=100, n=3))
+        enc.encode(random_features(1, m=120, n=3))
+        assert enc._w.shape == (32, cfg.gae_dim)
+        assert enc._adam.step == cfg.train_epochs + cfg.incremental_epochs
+
+    def test_gae_weight_and_moments_capped(self):
+        cfg = EncoderConfig()
+        enc = GraphAutoencoderEncoder(cfg)
+        enc.encode(random_features(0, m=2000, n=8))
+        # the default cap
+        assert enc._w.shape == enc._adam.m[0].shape == enc._adam.v[0].shape == (256, cfg.gae_dim)
+
+    @pytest.mark.parametrize("m", [200, 300, 2000])
+    def test_ae_and_gae_read_the_same_rows(self, m):
+        """Both networks of one StateEncoder see only the sampled rows, and the same ones."""
+        cfg = EncoderConfig(seed=5, row_subsample_cap=256)
+        f = random_features(m, m=m, n=4)
+        rows = state_rep._subsample_rows(m, cfg)
+        unread = np.ones(m, dtype=bool)
+        unread[rows] = False
+        f[unread] = np.nan  # a row either network read would make its state non-finite
+        _, ae, gae = StateEncoder("ds+ae+gae", cfg)._parts("set")
+        ref_ae, ref_gae = AutoencoderEncoder(cfg), GraphAutoencoderEncoder(cfg)
+        assert np.array_equal(ae.encode(f).values, ref_ae.encode(f[rows]).values)
+        assert np.array_equal(gae.encode(f).values, ref_gae.encode(f[rows]).values)
