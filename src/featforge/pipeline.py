@@ -30,7 +30,7 @@ from featforge.generation import (
     postprocess,
     size_control,
 )
-from featforge.grouping import DEFAULT_EPSILON, FeatureGroup, m_cluster
+from featforge.grouping import DEFAULT_EPSILON, FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS, expr_to_string
 from featforge.state_rep import EncoderConfig, StateEncoder, compose_state, rep_operation
@@ -109,6 +109,12 @@ class BestFeatureSet:
     step: int
 
 
+def _singleton_partition(n: int) -> GroupPartition:
+    return GroupPartition(
+        groups=tuple(FeatureGroup((i,)) for i in range(n)), threshold_used=0.0
+    )
+
+
 class _CascadePolicy:
     """GRFG: M-Clustering's groups, state encoders and the three cascading agents."""
 
@@ -132,13 +138,13 @@ class _CascadePolicy:
     def choose(self, table: FeatureTable, global_step: int):
         cfg = self.cfg
         if cfg.no_cluster or table.n_features == 1:
-            groups = tuple(FeatureGroup((i,)) for i in range(table.n_features))
+            partition = _singleton_partition(table.n_features)
         else:
-            groups = m_cluster(table, self.y, mi=self.mi, **cfg.cluster_kwargs()).groups
+            partition = m_cluster(table, self.y, mi=self.mi, **cfg.cluster_kwargs())
         rep_f = self.encoder.encode(table.values, scope="set")
         group_reps = tuple(
             self.encoder.encode(table.values[:, list(g.indices)], scope="group")
-            for g in groups
+            for g in partition.groups
         )
         eps = epsilon_at(global_step, cfg.agent)
         parts, chosen = [rep_f], []
@@ -155,7 +161,7 @@ class _CascadePolicy:
             parts.append(candidates[idx])
             chosen.append(idx)
         i1, i_op, i2 = chosen
-        c1, op, c2 = groups[i1], ALL_OPERATIONS[i_op], groups[i2]
+        c1, op, c2 = partition.groups[i1], ALL_OPERATIONS[i_op], partition.groups[i2]
 
         if op.is_binary:
             try:
@@ -220,21 +226,17 @@ def _search(dataset: Dataset, cfg: PipelineConfig, method: str, policy):
     )
     best = BestFeatureSet(table=original, score=report.baseline_score, step=-1)
     table = original
-    last = (None, None)  # the last table scored and its U
 
     for epoch in range(cfg.epochs):
         if cfg.reset_per_epoch and epoch > 0:
             table = original
-            last = (original, report.steps[0]["U_before"])  # step 0 scored the original table
         for step in range(cfg.steps_per_epoch):
             global_step = epoch * cfg.steps_per_epoch + step
             c1, op, c2, generated = policy.choose(table, global_step)
 
-            # size control returns the table it was given when it drops nothing
-            u_before = last[1] if table is last[0] else utility_u(table, y, mi=mi)
+            u_before = utility_u(table, y, mi=mi)
             new_table = postprocess(table, generated, step=global_step)
-            u_after = u_before if new_table is table else utility_u(new_table, y, mi=mi)
-            last = (new_table, u_after)
+            u_after = utility_u(new_table, y, mi=mi)
             v_a = downstream_performance(new_table.values, y, dataset.task, cfg.model, split)
             r1, r_op, r2 = policy.learn(compute_rewards(u_before, u_after, v_a))
 

@@ -61,15 +61,17 @@ class EncoderConfig:
             raise ValueError("epoch counts must be >= 1")
 
 
+def _as_matrix(features) -> np.ndarray:
+    f = np.asarray(features, dtype=float)
+    return f[:, None] if f.ndim == 1 else f
+
+
 def rep_ds(features) -> StateVector:
     """Descriptive statistics of descriptive statistics, flattened to 49 values.
 
     Row i of the 7 x 7 result holds the statistics of stat i over the columns.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[:, None]
-    meta = descriptive_stats(descriptive_stats(features.T)).T
+    meta = descriptive_stats(descriptive_stats(_as_matrix(features).T)).T
     return StateVector(values=meta.ravel())
 
 
@@ -96,7 +98,8 @@ def compose_state(role: str, parts) -> StateVector:
 def _subsample_rows(m: int, cfg: EncoderConfig) -> np.ndarray:
     """The rows the ae and the gae read: all m, or a seeded sorted sample of the cap."""
     cap = cfg.row_subsample_cap
-    rows = np.arange(m) if m <= cap else np.sort(np.random.default_rng(cfg.seed + m).choice(m, cap, replace=False))
+    rng = np.random.default_rng(cfg.seed + m)
+    rows = np.arange(m) if m <= cap else np.sort(rng.choice(m, cap, replace=False))
     rows.flags.writeable = False  # cached: every caller shares it
     return rows
 
@@ -195,13 +198,9 @@ class AutoencoderEncoder:
         adam_update(self._params, grads, self._adam)
         return loss
 
-    def _prepare(self, features: np.ndarray) -> np.ndarray:
-        if features.ndim == 1:
-            features = features[:, None]
-        return features[_subsample_rows(features.shape[0], self.cfg), :]
-
     def encode(self, features) -> StateVector:
-        f = self._prepare(np.asarray(features, dtype=float))
+        f = _as_matrix(features)
+        f = f[_subsample_rows(len(f), self.cfg), :]
         if f.size == 0:
             raise ValueError("empty feature matrix")
         epochs = self.cfg.incremental_epochs
@@ -271,16 +270,14 @@ class GraphAutoencoderEncoder:
         return norm_a @ features.T  # n x m
 
     def encode(self, features) -> StateVector:
-        features = np.asarray(features, dtype=float)
-        if features.ndim == 1:
-            features = features[:, None]
+        features = _as_matrix(features)
         if features.shape[1] < 2:
             # a one-column group is a normal M-Clustering result
             log.debug("gae needs >= 2 features (got %d); falling back to ds", features.shape[1])
             ds, width = rep_ds(features).values, self.cfg.gae_dim
             folded = np.bincount(np.arange(DS_LENGTH) % width, weights=ds, minlength=width)
             return StateVector(values=folded)
-        f = features[_subsample_rows(features.shape[0], self.cfg), :]
+        f = features[_subsample_rows(len(features), self.cfg), :]
         a = self.adjacency(f)
         msg = self._message_matrix(f, a)
         epochs = self.cfg.incremental_epochs
