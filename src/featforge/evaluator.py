@@ -5,14 +5,16 @@ and a KNN mean-distance anomaly scorer.  The headline metric is macro-F1 /
 1-RAE / ROC-AUC depending on the task.
 
 The forest grows all its trees together in the calling process, one depth at
-a time, into flat node arrays. Each depth runs one exact split search over
-every splittable node of every tree, batched by node size, and predict steps
-all rows through all trees at once.
+a time, into flat node arrays; one fit may grow a forest per set of rows, as
+the final CV does for its folds. Each depth runs one exact split search over
+every splittable node of every tree, batched by node size, in scratch buffers
+that the fit reuses from batch to batch. Predict steps all rows through all
+trees at once.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,88 +86,134 @@ def _dense_ranks(X: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _sum_classes(terms: list) -> np.ndarray:
-    """``np.sum(np.stack(terms, axis=-1), axis=-1)`` bit for bit: numpy adds fewer than 8 entries in order."""
-    return np.sum(np.stack(terms, axis=-1), axis=-1) if len(terms) >= 8 else functools.reduce(np.add, terms)
+def _buffer(scratch: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """A ``shape`` view of the flat buffer ``scratch[name]``, which is replaced by a larger one when too small."""
+    size = math.prod(shape)
+    if name not in scratch or scratch[name].size < size:
+        scratch[name] = np.empty(size, dtype)
+    return scratch[name][:size].reshape(shape)
 
 
-def _best_splits(X, rank, y, rows, sizes, feats, classification: bool, n_classes: int, min_leaf: int):
+def _best_splits(X, rank, y, rows, sizes, feats, classification: bool, n_classes: int, min_leaf: int, scratch: dict):
     """Best (column, threshold) of each node; column -1 where no cut is valid.
 
     Node j's rows ``rows[j, :sizes[j]]`` are padded with the sentinel row,
     which ``rank`` sorts last and whose target in ``y`` adds nothing to any
     sum, so each valid cut scores as in a one-node search. The lowest score
-    wins; ties go to the earliest column, then to the leftmost cut.
+    wins; ties go to the earliest column, then to the leftmost cut. Every
+    array of a batch's size is a view of a ``scratch`` buffer, written before
+    it is read.
     """
     k, width = rows.shape
     n_try = feats.shape[1]
     shift = (width - 1).bit_length()
     position = np.arange(width, dtype=rank.dtype)
-    # a cut after left size p, for p in [lo, hi], leaves min_leaf rows on the left
-    lo, hi = min_leaf, width - min_leaf
-    nl = np.arange(lo, hi + 1, dtype=float)
+    # cut p leaves the p first sorted rows on the left, for p in 1..width; every
+    # cut array spans all of them, so that numpy runs each operation as one loop
+    nl = np.arange(1, width + 1, dtype=float)
     cut_cols, cut_at = np.full(k, -1), np.zeros(k)
     step = max(1, _BATCH // (n_try * width * (n_classes if classification else 1)))
     for a in range(0, k, step):
         b = min(k, a + step)
-        node = np.repeat(np.arange(b - a), n_try)
-        key = np.sort((rank[feats[a:b, :, None], rows[a:b, None, :]] << shift) | position, axis=2)
-        key = key.reshape(len(node), width)
-        srows = rows[a:b][node[:, None], key & ((1 << shift) - 1)]
-        ys, r = y[srows], key >> shift
-        m = sizes[a:b][node].astype(float)[:, None]
+        # a cell is one (node, candidate column); node-level arrays broadcast over the columns
+        cells = (b - a, n_try, width)
+        # each cell's keys (rank << shift) | position, sorted: rank[feats[a:b, :, None], rows[a:b, None, :]]
+        at = _buffer(scratch, "at", cells, np.intp)
+        np.add(feats[a:b, :, None] * rank.shape[1], rows[a:b, None, :], out=at)
+        key = np.take(rank.ravel(), at, out=_buffer(scratch, "key", cells, rank.dtype), mode="clip")
+        np.bitwise_or(np.left_shift(key, shift, out=key), position, out=key)
+        key.sort(axis=2)
+        # srows = rows[a:b][node, key & (2**shift - 1)] and r = key >> shift
+        np.bitwise_and(key, (1 << shift) - 1, out=at)
+        np.add(at, (np.arange(a, b) * width)[:, None, None], out=at)
+        srows = np.take(rows.ravel(), at, out=_buffer(scratch, "srows", cells, rows.dtype), mode="clip")
+        ys = np.take(y, srows, out=_buffer(scratch, "ys", cells), mode="clip")
+        r = np.right_shift(key, shift, out=key).ravel()
+        m = sizes[a:b].astype(float)[:, None, None]
         nr = m - nl
-        # only cuts between two different values that leave min_leaf rows on the right
-        valid = (r[:, lo - 1 : hi] < r[:, lo : hi + 1]) & (nr >= min_leaf)
+        # cuts between two equal values, or that leave fewer than min_leaf rows on
+        # a side; the last cut of a cell, compared with the next cell, is one of these
+        invalid = _buffer(scratch, "invalid", cells, bool)
+        np.greater_equal(r[:-1], r[1:], out=invalid.ravel()[:-1])
+        invalid.ravel()[-1] = True
+        np.logical_or(invalid, (nl < min_leaf) | (nr < min_leaf), out=invalid)
         np.maximum(nr, 1.0, out=nr)
+        score = _buffer(scratch, "score", cells)
         if classification:
-            sq_l, sq_r = [], []
+            # 1 - sum of squared class shares on each side; numpy's sum over 8 or
+            # more classes is not a left-to-right one, so those stack their terms
+            wide = n_classes >= 8
+            gini = _buffer(scratch, "gini", (2, *cells))
+            sq = _buffer(scratch, "sq", (2, *cells, n_classes) if wide else (2, *cells))
+            count = _buffer(scratch, "count", cells)
             for c in range(n_classes):
-                count = np.cumsum(ys == c, axis=1, dtype=float)
-                pl = count[:, lo - 1 : hi] / nl
-                pr = (count[:, -1:] - count[:, lo - 1 : hi]) / nr
-                sq_l.append(pl * pl)
-                sq_r.append(pr * pr)
-            score = (nl * (1.0 - _sum_classes(sq_l)) + nr * (1.0 - _sum_classes(sq_r))) / m
+                np.cumsum(np.equal(ys, c, out=count), axis=2, out=count)
+                p = sq[..., c] if wide else sq if c else gini
+                np.divide(count, nl, out=p[0])
+                np.divide(np.subtract(count[..., -1:], count, out=p[1]), nr, out=p[1])
+                np.square(p, out=p)
+                if c and not wide:
+                    np.add(gini, p, out=gini)
+            if wide:
+                np.sum(sq, axis=-1, out=gini)
+            # (nl * (1 - gini_l) + nr * (1 - gini_r)) / m
+            np.multiply(nl, np.subtract(1.0, gini[0], out=gini[0]), out=gini[0])
+            np.multiply(nr, np.subtract(1.0, gini[1], out=gini[1]), out=gini[1])
+            np.divide(np.add(gini[0], gini[1], out=score), m, out=score)
         else:
-            s, s2 = np.cumsum(ys, axis=1), np.cumsum(ys * ys, axis=1)
-            sl, s2l = s[:, lo - 1 : hi], s2[:, lo - 1 : hi]
-            var_l = s2l / nl - (sl / nl) ** 2
-            var_r = (s2[:, -1:] - s2l) / nr - ((s[:, -1:] - sl) / nr) ** 2
-            score = (nl * var_l + nr * var_r) / m
-        np.putmask(score, ~valid, np.inf)
-        col, i = np.divmod(np.argmin(score.reshape(b - a, -1), axis=1), len(nl))
-        cell = np.arange(b - a) * n_try + col
-        ok = np.flatnonzero(valid[cell, i])
-        cell, i, f = cell[ok], i[ok], feats[a + ok, col[ok]]
+            # prefix sums of ys * ys, then of ys in place: ys is read no further
+            s, s2, t = ys, _buffer(scratch, "s2", cells), _buffer(scratch, "t", cells)
+            np.cumsum(np.multiply(ys, ys, out=s2), axis=2, out=s2)
+            np.cumsum(ys, axis=2, out=s)
+            # var_l = s2 / nl - (s / nl) ** 2, held in score
+            np.subtract(np.divide(s2, nl, out=score), np.square(np.divide(s, nl, out=t), out=t), out=score)
+            # var_r = (s2[..., -1:] - s2) / nr - ((s[..., -1:] - s) / nr) ** 2 in t, its last term in s2
+            np.divide(np.subtract(s2[..., -1:], s2, out=t), nr, out=t)
+            np.square(np.divide(np.subtract(s[..., -1:], s, out=s2), nr, out=s2), out=s2)
+            np.subtract(t, s2, out=t)
+            # (nl * var_l + nr * var_r) / m
+            np.add(np.multiply(nl, score, out=score), np.multiply(nr, t, out=t), out=score)
+            np.divide(score, m, out=score)
+        np.putmask(score, invalid, np.inf)
+        col, i = np.divmod(np.argmin(score.reshape(b - a, -1), axis=1), width)
+        node = np.arange(b - a)
+        ok = np.flatnonzero(~invalid[node, col, i])
+        node, col, i = node[ok], col[ok], i[ok]
+        f = feats[a + ok, col]
         cut_cols[a + ok] = f
-        cut_at[a + ok] = 0.5 * (X[srows[cell, lo + i - 1], f] + X[srows[cell, lo + i], f])
+        cut_at[a + ok] = 0.5 * (X[srows[node, col, i], f] + X[srows[node, col, i + 1], f])
     return cut_cols, cut_at
 
 
-def _grow_forest(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: int, spec: ModelSpec) -> _Trees:
-    """Grow the ``spec.n_trees`` trees of a forest together, one depth at a time.
+def _grow_forest(X: np.ndarray, y: np.ndarray, bases: list, classification: bool, spec: ModelSpec) -> list:
+    """Grow one forest of ``spec.n_trees`` trees per base of row indices, all together, one depth at a time.
 
-    Tree t draws from ``default_rng(spec.seed * 1_000_003 + t)``: first its
-    bootstrap rows, ``integers(0, m, m)``; then, at each depth, one
-    ``random((count, n))`` for the tree's ``count`` splittable nodes there, in
-    node order. Each row of that draw, stably argsorted and cut to its first
-    ceil(sqrt(n)) entries, then sorted, is one node's candidate columns. A node
-    above ``max_depth`` is splittable when it holds at least
-    ``2 * min_samples_leaf`` rows whose targets differ. Nodes are numbered
-    depth by depth, tree by tree; children follow their parents' order, left
-    before right, and keep their parent's row order.
+    Forest f is the forest a fit on ``X[bases[f]], y[bases[f]]`` alone
+    grows. Its tree t draws from ``default_rng(spec.seed * 1_000_003 + t)``:
+    first its bootstrap rows, ``integers(0, mf, mf)`` positions in its base
+    of mf rows; then, at each depth, one ``random((count, n))`` for the tree's
+    ``count`` splittable nodes there, in node order. Each row of that draw,
+    stably argsorted and cut to its first ceil(sqrt(n)) entries, then sorted,
+    is one node's candidate columns. A node above ``max_depth`` is splittable
+    when it holds at least ``2 * min_samples_leaf`` rows whose targets differ.
+    Nodes are numbered depth by depth, forest by forest, tree by tree;
+    children follow their parents' order, left before right, and keep their
+    parent's row order. Each forest's nodes are then numbered in that order.
     """
     m, n = X.shape
     n_trees, min_leaf = spec.n_trees, spec.min_samples_leaf
     n_try = int(np.ceil(np.sqrt(n)))
-    rngs = [np.random.default_rng(spec.seed * 1_000_003 + t) for t in range(n_trees)]
+    # tree t of forest f is tree f * n_trees + t of the pass
+    rngs = [np.random.default_rng(spec.seed * 1_000_003 + t) for _ in bases for t in range(n_trees)]
     # the nodes of one depth: their rows back to back, their sizes and trees
-    idx = np.concatenate([rng.integers(0, m, size=m) for rng in rngs])
-    sizes, tree = np.full(n_trees, m), np.arange(n_trees)
+    sizes, tree = np.repeat([len(b) for b in bases], n_trees), np.arange(len(rngs))
+    idx = np.concatenate([bases[t // n_trees][rngs[t].integers(0, s, size=s)] for t, s in enumerate(sizes)])
+    # a forest's class count is that of its own fit, which sets how its Gini terms add up
+    classes = np.repeat([int(y[b].max()) + 1 if classification else 1 for b in bases], n_trees)
+    n_classes = int(classes.max())
     rank = _dense_ranks(X)
     y_pad = np.append(y, -1.0 if classification else 0.0)
-    levels = []
+    levels, owners, scratch = [], [], {}
     for depth in range(spec.max_depth + 1):
         k, first = len(sizes), sum(len(level.value) for level in levels)
         starts = np.cumsum(sizes) - sizes
@@ -177,31 +225,31 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: 
         else:
             # reduceat sums a node as its first entry plus a pairwise sum of the
             # rest, so a zero ahead of each node makes its sum that of ys.mean()
-            padded = np.zeros(len(ys) + k)
-            padded[np.arange(len(ys)) + node + 1] = ys
-            value = np.add.reduceat(padded, starts + np.arange(k)) / sizes
+            value = np.add.reduceat(np.insert(ys, starts, 0.0), starts + np.arange(k)) / sizes
         level = _Trees(np.full(k, -1), np.zeros(k), np.arange(first, first + k), np.arange(first, first + k), value)
         levels.append(level)
+        owners.append(tree // n_trees)
         splittable = np.flatnonzero(
             (sizes >= 2 * min_leaf) & (np.minimum.reduceat(ys, starts) < np.maximum.reduceat(ys, starts))
         )
         if depth == spec.max_depth or len(splittable) == 0:
             break
-        draws = [rngs[t].random((c, n)) for t, c in enumerate(np.bincount(tree[splittable], minlength=n_trees)) if c]
+        draws = [rngs[t].random((c, n)) for t, c in enumerate(np.bincount(tree[splittable], minlength=len(rngs))) if c]
         feats = np.sort(np.concatenate(draws).argsort(axis=1, kind="stable")[:, :n_try], axis=1)
         feature, threshold = np.full(k, -1), np.zeros(k)
-        # one batch per power-of-two size class (16 rows at least), padded to its largest node
-        size_class = np.maximum(np.ceil(np.log2(sizes[splittable])), 4)
-        for c in np.unique(size_class):
-            group = size_class == c
+        idx_pad = np.append(idx, m)
+        # one batch per power-of-two size class (16 rows at least, below 2**64)
+        # and class count, padded to its largest node
+        batches = np.maximum(np.ceil(np.log2(sizes[splittable])), 4) + 64 * classes[tree[splittable]]
+        for batch in np.unique(batches):
+            group = batches == batch
             nodes = splittable[group]
             size = sizes[nodes]
-            # the nodes' rows back to back, then laid out one node per row
-            sample = np.arange(size.sum()) + np.repeat(starts[nodes] - (np.cumsum(size) - size), size)
-            rows = np.full((len(nodes), size.max()), m)
-            rows[np.arange(size.max()) < size[:, None]] = idx[sample]
+            # one node per row: its rows, then the sentinel row m
+            pos = np.arange(size.max())
+            rows = idx_pad[np.where(pos < size[:, None], starts[nodes, None] + pos, len(idx))]
             feature[nodes], threshold[nodes] = _best_splits(
-                X, rank, y_pad, rows, size, feats[group], classification, n_classes, min_leaf
+                X, rank, y_pad, rows, size, feats[group], classification, int(batch // 64), min_leaf, scratch
             )
         go_left = X[idx, feature[node]] <= threshold[node]
         n_left = np.bincount(node[go_left], minlength=k)
@@ -219,7 +267,15 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, classification: bool, n_classes: 
         idx = idx[keep][np.argsort(2 * split_no[node[keep]] + ~go_left[keep], kind="stable")]
         sizes = np.column_stack([n_left[split], sizes[split] - n_left[split]]).ravel()
         tree = np.repeat(tree[split], 2)
-    return _Trees(*(np.concatenate(arrays) for arrays in zip(*levels)))
+    del scratch  # freed before the forests are copied out
+    trees, owner = _Trees(*(np.concatenate(arrays) for arrays in zip(*levels))), np.concatenate(owners)
+    local, forests = np.empty(len(owner), dtype=int), []
+    for f in range(len(bases)):
+        nodes = np.flatnonzero(owner == f)
+        local[nodes] = np.arange(len(nodes))
+        left, right = local[trees.left[nodes]], local[trees.right[nodes]]
+        forests.append(_Trees(trees.feature[nodes], trees.threshold[nodes], left, right, trees.value[nodes]))
+    return forests
 
 
 class RandomForest:
@@ -228,30 +284,35 @@ class RandomForest:
     def __init__(self, spec: ModelSpec, classification: bool):
         self.spec = spec
         self.classification = classification
-        self.trees: _Trees | None = None
+        self.forests: list[_Trees] = []
         self.n_classes = 0
         self.n_features = 0
 
-    def fit(self, X, y) -> "RandomForest":
+    def fit(self, X, y, bases=None) -> "RandomForest":
+        """Grow one forest per base of row indices (all rows by default), each as a fit on its rows alone."""
         X = _finite(X, "inputs")
         y = _finite(y, "targets")
-        if len(y) == 0:
+        bases = [np.arange(len(y))] if bases is None else [np.asarray(b, dtype=int) for b in bases]
+        if min(map(len, bases)) == 0:
             raise ValueError("empty training set")
+        if any(b.min() < 0 or b.max() >= len(y) for b in bases):
+            raise ValueError(f"base row indices must lie in [0, {len(y)})")
         if X.ndim != 2 or X.shape[1] == 0 or len(X) != len(y):
             raise ValueError(f"need one row of at least one column per target, got {X.shape} for {len(y)}")
         if self.classification:
             self.n_classes = int(y.max()) + 1
         self.n_features = X.shape[1]
-        self.trees = _grow_forest(X, y, self.classification, self.n_classes, self.spec)
+        self.forests = _grow_forest(X, y, bases, self.classification, self.spec)
         return self
 
-    def predict(self, X) -> np.ndarray:
-        if self.trees is None:
+    def predict(self, X, forest: int = 0) -> np.ndarray:
+        """The prediction of forest ``forest`` for each row of X."""
+        if not self.forests:
             raise ValueError("fit before predict")
         X = _finite(X, "inputs")
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} columns, got shape {X.shape}")
-        t = self.trees
+        t = self.forests[forest]
         rows = np.arange(len(X))
         node = np.repeat(np.arange(self.spec.n_trees)[:, None], len(X), axis=1)
         # a leaf is its own child, so max_depth steps take every row to its leaf
@@ -265,8 +326,8 @@ class RandomForest:
         return preds.mean(axis=0)
 
 
-def train_random_forest(X, y, spec: ModelSpec, classification: bool) -> RandomForest:
-    return RandomForest(spec, classification).fit(X, y)
+def train_random_forest(X, y, spec: ModelSpec, classification: bool, bases=None) -> RandomForest:
+    return RandomForest(spec, classification).fit(X, y, bases)
 
 
 # ----------------------------------------------------------------------- KNN
@@ -432,6 +493,12 @@ def predict_test_side(features, target, task: Task, spec: ModelSpec, split: Spli
     return model.predict(features[te])
 
 
+def _reward(pred, truth, task: Task) -> float:
+    """V_A of the predictions ``pred`` for ``truth``, as `downstream_performance` scores them."""
+    score = _PRIMARY_METRIC[task](pred, truth)
+    return max(0.0, score) if task is Task.REGRESSION else score
+
+
 def downstream_performance(
     features, target, task: Task, spec: ModelSpec, split: SplitPlan
 ) -> float:
@@ -441,6 +508,13 @@ def downstream_performance(
     commensurate with utility deltas.
     """
     pred = predict_test_side(features, target, task, spec, split)
-    truth = np.asarray(target, dtype=float)[split.test_indices]
-    score = _PRIMARY_METRIC[task](pred, truth)
-    return max(0.0, score) if task is Task.REGRESSION else score
+    return _reward(pred, np.asarray(target, dtype=float)[split.test_indices], task)
+
+
+def forest_fold_scores(features, target, task: Task, spec: ModelSpec, folds) -> list[float]:
+    """``downstream_performance`` of a forest task on each (train, test) fold, from one fit of all their forests."""
+    features = np.asarray(features, dtype=float)
+    target = np.asarray(target, dtype=float)
+    bases = [train for train, _ in folds]
+    model = train_random_forest(features, target, spec, task is Task.CLASSIFICATION, bases)
+    return [_reward(model.predict(features[test], f), target[test], task) for f, (_, test) in enumerate(folds)]

@@ -167,27 +167,33 @@ def postprocess(
     """Merge generated columns, dropping constants and duplicates."""
     if not generated:
         return existing
-    kept_values = [existing.values[:, i] for i in range(existing.n_features)]
+    m, n = existing.values.shape
+    # the kept columns as rows, so that one call compares a new column with all
+    # of them, and a buffer for their differences from it
+    kept = np.empty((n + len(generated), m))
+    kept[:n] = existing.values.T
+    diff = np.empty_like(kept)
     kept_exprs = list(existing.exprs)
     kept_created = list(existing.created_at)
     seen_names = set(existing.names)
     for expr, values in generated:
         values = np.asarray(values, dtype=float)
-        if len(values) != existing.values.shape[0]:
+        if len(values) != m:
             raise ValueError("generated column length mismatch")
         if np.std(values) < CONSTANT_STD_TOL:
             continue
         name = expr_to_string(expr)
         if name in seen_names:
             continue
-        if any(np.max(np.abs(values - col)) < VALUE_DUP_TOL for col in kept_values):
+        d = diff[: len(kept_exprs)]
+        if (np.abs(np.subtract(kept[: len(kept_exprs)], values, out=d), out=d).max(axis=1) < VALUE_DUP_TOL).any():
             continue
-        kept_values.append(values)
+        kept[len(kept_exprs)] = values
         kept_exprs.append(expr)
         kept_created.append(step)
         seen_names.add(name)
     return FeatureTable(
-        values=np.column_stack(kept_values),
+        values=np.ascontiguousarray(kept[: len(kept_exprs)].T),
         exprs=tuple(kept_exprs),
         created_at=tuple(kept_created),
     )

@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from featforge.agents import AgentConfig, CascadeAgent, Transition, compute_rewards, epsilon_at
-from featforge.data_core import Dataset, SplitPlan, make_folds, make_split
-from featforge.evaluator import ModelSpec, downstream_performance
+from featforge.data_core import Dataset, SplitPlan, Task, make_folds, make_split
+from featforge.evaluator import ModelSpec, downstream_performance, forest_fold_scores
 from featforge.generation import (
     FeatureTable,
     GenerationConfig,
@@ -282,18 +282,18 @@ def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cf
     report.best_feature_names = list(best.table.names)
     k = min(FINAL_CV_FOLDS, dataset.n_rows)
     if k >= 2:
-        plan = make_folds(dataset, k, seed=cfg.seed)
-        scores = []
-        for train, test in plan.folds:
-            fold_split = SplitPlan(train_indices=train, test_indices=test, seed=cfg.seed)
-            try:
-                scores.append(
-                    downstream_performance(
-                        best.table.values, dataset.target, dataset.task, cfg.model, fold_split
-                    )
-                )
-            except ValueError:
-                continue
+        folds = make_folds(dataset, k, seed=cfg.seed).folds
+        values, target, task = best.table.values, dataset.target, dataset.task
+        if task is not Task.OUTLIER_DETECTION:
+            scores = forest_fold_scores(values, target, task, cfg.model, folds)
+        else:
+            scores = []
+            for train, test in folds:
+                fold_split = SplitPlan(train_indices=train, test_indices=test, seed=cfg.seed)
+                try:
+                    scores.append(downstream_performance(values, target, task, cfg.model, fold_split))
+                except ValueError:
+                    continue
         if scores:
             report.final_cv_score = float(np.mean(scores))
 

@@ -1,11 +1,12 @@
 """A forest grown one node at a time: the test oracle for the level-wise one.
 
 `grow_forest` takes the arguments of `evaluator._grow_forest` and returns the
-same flat arrays. It visits the nodes of all trees depth by depth, in the
-evaluator's node order, and splits each one on its own: tree t's generator
-gives the node its ``n`` uniforms (the node's row of the evaluator's
-per-depth draw), and `cart_reference._best_split` searches its candidate
-columns one at a time.
+same flat arrays, one forest per base of row indices. It grows each forest on
+its own, from the base's rows alone, as a fit on them would. It visits the
+nodes of all trees depth by depth, in the evaluator's node order, and splits
+each one on its own: tree t's generator gives the node its ``n`` uniforms (the
+node's row of the evaluator's per-depth draw), and `cart_reference._best_split`
+searches its candidate columns one at a time.
 
 `to_nodes` and `_predict_tree` turn the flat arrays back into linked nodes and
 walk them row by row, as the evaluator predicted before its trees were flat.
@@ -36,7 +37,13 @@ def _leaf_value(y: np.ndarray, classification: bool, n_classes: int) -> float:
     return float(y.mean())
 
 
-def grow_forest(X, y, classification, n_classes, spec) -> _Trees:
+def grow_forest(X, y, bases, classification, spec) -> list:
+    return [
+        _grow_one(X[b], y[b], classification, int(y[b].max()) + 1 if classification else 0, spec) for b in bases
+    ]
+
+
+def _grow_one(X, y, classification, n_classes, spec) -> _Trees:
     m, n = X.shape
     n_try = int(np.ceil(np.sqrt(n)))
     rngs = [np.random.default_rng(spec.seed * 1_000_003 + t) for t in range(spec.n_trees)]
@@ -108,10 +115,10 @@ def _predict_tree(node: _TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(forest, X) -> np.ndarray:
-    """``forest.predict(X)`` by the per-row walk of each linked tree and the same vote."""
+def predict(forest, X, f: int = 0) -> np.ndarray:
+    """``forest.predict(X, f)`` by the per-row walk of each linked tree and the same vote."""
     X = np.asarray(X, dtype=float)
-    preds = np.stack([_predict_tree(to_nodes(forest.trees, t), X) for t in range(forest.spec.n_trees)])
+    preds = np.stack([_predict_tree(to_nodes(forest.forests[f], t), X) for t in range(forest.spec.n_trees)])
     if forest.classification:
         votes = (preds == np.arange(forest.n_classes)[:, None, None]).sum(axis=1)
         return np.argmax(votes, axis=0).astype(float)

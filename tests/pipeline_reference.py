@@ -4,6 +4,9 @@ Test oracle only: ``run_grfg`` and ``run_rdg_baseline`` below are the
 separate cascading-agent loop and random-baseline loop, kept verbatim.
 ``TestOneStepEngine`` requires the one step engine in ``featforge.pipeline``
 to give the same reports, best tables and output files.
+
+``_finish_report`` is the final CV as it was before one fit grew every fold's
+forest: one ``downstream_performance`` call per fold.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from featforge.agents import AgentConfig, CascadeAgent, Transition, compute_rewards, epsilon_at
-from featforge.data_core import Dataset, make_split
+from featforge.data_core import Dataset, SplitPlan, make_folds, make_split
 from featforge.evaluator import downstream_performance
 from featforge.generation import (
     FeatureTable,
@@ -24,7 +27,7 @@ from featforge.generation import (
 from featforge.grouping import FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS
-from featforge.pipeline import TEST_FRACTION, BestFeatureSet, PipelineConfig, RunReport, _finish_report, _write_outputs
+from featforge.pipeline import FINAL_CV_FOLDS, TEST_FRACTION, BestFeatureSet, PipelineConfig, RunReport, _write_outputs
 from featforge.state_rep import EncoderConfig, StateEncoder, StateVector, compose_state, rep_operation
 
 
@@ -275,3 +278,25 @@ def run_rdg_baseline(dataset: Dataset, cfg: PipelineConfig):
     if cfg.out_dir:
         _write_outputs(report, best, cfg.out_dir)
     return report, best
+
+
+def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cfg: PipelineConfig):
+    report.best_score = best.score
+    report.best_step = best.step
+    report.best_feature_names = list(best.table.names)
+    k = min(FINAL_CV_FOLDS, dataset.n_rows)
+    if k >= 2:
+        plan = make_folds(dataset, k, seed=cfg.seed)
+        scores = []
+        for train, test in plan.folds:
+            fold_split = SplitPlan(train_indices=train, test_indices=test, seed=cfg.seed)
+            try:
+                scores.append(
+                    downstream_performance(
+                        best.table.values, dataset.target, dataset.task, cfg.model, fold_split
+                    )
+                )
+            except ValueError:
+                continue
+        if scores:
+            report.final_cv_score = float(np.mean(scores))

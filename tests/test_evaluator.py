@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -94,9 +95,9 @@ class TestRandomForest:
             forest.n_classes = n_classes
             forest.n_features = 2
             roots = np.arange(n_trees)
-            forest.trees = evaluator._Trees(
+            forest.forests = [evaluator._Trees(
                 np.full(n_trees, -1), np.zeros(n_trees), roots, roots, votes.astype(float)
-            )
+            )]
             expected = float(np.argmax(np.bincount(votes, minlength=n_classes)))
             assert np.array_equal(forest.predict(np.zeros((4, 2))), np.full(4, expected))
 
@@ -144,6 +145,22 @@ def random_fit_case(rng, trial):
     return X, y, classification
 
 
+def fold_bases(rng, m: int, k: int) -> list:
+    """The train rows of each of k random folds of m rows."""
+    fold = rng.permutation(m) % k
+    return [np.flatnonzero(fold != f) for f in range(k)]
+
+
+def tied_classes(seed: int, n_classes: int, m: int = 80):
+    """Columns of four values, so that many cuts tie, and classes 0..n_classes-2
+    on all rows but one, which holds the top class."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(m, 8)).astype(float)
+    y = rng.integers(0, n_classes - 1, size=m).astype(float)
+    y[int(rng.integers(m))] = n_classes - 1
+    return X, y
+
+
 class TestExactCart:
     """The level-wise batched search grows the trees of the one-node-at-a-time reference."""
 
@@ -152,16 +169,20 @@ class TestExactCart:
         for trial in range(300):
             X, y, classification = random_fit_case(rng, trial)
             spec = ModelSpec(n_trees=2, min_samples_leaf=int(rng.integers(1, 4)), seed=trial)
-            batched = train_random_forest(X, y, spec, classification).trees
+            # every third fit grows one forest per fold's train rows in one pass
+            bases = fold_bases(np.random.default_rng(trial), len(y), 2 + trial % 4) if trial % 3 == 0 else None
+            batched = train_random_forest(X, y, spec, classification, bases).forests
             with monkeypatch.context() as patch:
                 patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
-                reference = train_random_forest(X, y, spec, classification).trees
-            for name in ("feature", "threshold", "left", "right"):
-                assert np.array_equal(getattr(batched, name), getattr(reference, name)), f"trial {trial} {name}"
-            # a batched mean is a reduceat sum over each node's rows, which numpy
-            # may add up in another order than y.mean(); class votes are exact
-            tol = 0.0 if classification else 1e-12
-            assert np.allclose(batched.value, reference.value, rtol=tol, atol=0.0), f"trial {trial}"
+                reference = train_random_forest(X, y, spec, classification, bases).forests
+            assert len(batched) == len(reference) == (1 if bases is None else len(bases))
+            for got, want in zip(batched, reference):
+                for name in ("feature", "threshold", "left", "right"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), f"trial {trial} {name}"
+                # a batched mean is a reduceat sum over each node's rows, which numpy
+                # may add up in another order than y.mean(); class votes are exact
+                tol = 0.0 if classification else 1e-12
+                assert np.allclose(got.value, want.value, rtol=tol, atol=0.0), f"trial {trial}"
 
     def test_many_rows_match_reference(self, monkeypatch):
         """Past 32768 rows the search sorts int64 keys instead of int32 ones."""
@@ -170,10 +191,10 @@ class TestExactCart:
         y = np.round(X[:, 0] + rng.normal(size=33000), 1)
         assert evaluator._dense_ranks(X).dtype == np.int64
         spec = ModelSpec(n_trees=1, max_depth=2, seed=3)
-        batched = train_random_forest(X, y, spec, classification=False).trees
+        batched = train_random_forest(X, y, spec, classification=False).forests[0]
         with monkeypatch.context() as patch:
             patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
-            reference = train_random_forest(X, y, spec, classification=False).trees
+            reference = train_random_forest(X, y, spec, classification=False).forests[0]
         assert len(batched.feature) == 7
         for name in ("feature", "threshold", "left", "right"):
             assert np.array_equal(getattr(batched, name), getattr(reference, name)), name
@@ -200,6 +221,117 @@ class TestExactCart:
         assert np.array_equal(best.table.values, ref_best.table.values)
 
 
+class TestForestsOfBases:
+    """One fit grows a forest per base of rows, each the forest a fit on that base alone grows."""
+
+    # regression; then classification, where the fold without the top class
+    # sums fewer Gini terms. With 8 or 16 classes numpy adds those in another
+    # order than the other folds' terms, and at these seeds a sum over every
+    # class would grow that fold another tree
+    @pytest.mark.parametrize(
+        "n_classes, seed",
+        [(0, 0), (0, 1), (3, 0), (3, 1), (8, 36), (8, 87), (8, 135), (16, 6), (16, 21), (16, 29)],
+    )
+    def test_each_fold_equals_its_own_fit(self, n_classes, seed):
+        classification = n_classes > 0
+        X, y = tied_classes(seed, max(n_classes, 2))
+        if not classification:
+            y = np.round(X[:, 0] * X[:, 1] + np.random.default_rng(seed).normal(size=len(y)), 1)
+        folds = fold_bases(np.random.default_rng(seed), len(y), 5)
+        if classification:
+            assert sum(y[train].max() < y.max() for train in folds) == 1
+        spec = ModelSpec(n_trees=3, min_samples_leaf=1, seed=seed)
+        model = train_random_forest(X, y, spec, classification, folds)
+        for f, train in enumerate(folds):
+            own = train_random_forest(X[train], y[train], spec, classification)
+            for name, got, want in zip(evaluator._Trees._fields, model.forests[f], own.forests[0]):
+                assert np.array_equal(got, want), f"fold {f} {name}"
+            test = np.setdiff1d(np.arange(len(y)), train)
+            assert np.array_equal(model.predict(X[test], f), own.predict(X[test]))
+            assert np.array_equal(model.predict(X, f), forest_reference.predict(model, X, f))
+
+
+    @pytest.mark.parametrize("base", [[-1, 0, 1], [0, 1, 10]])
+    def test_rejects_rows_outside_the_data(self, base):
+        X, y = np.arange(20.0).reshape(10, 2), np.arange(10.0)
+        with pytest.raises(ValueError, match="base row indices"):
+            train_random_forest(X, y, ModelSpec(n_trees=2), False, [np.arange(10), base])
+
+
+_POISON = {"f": np.nan, "i": -1, "b": True}
+
+
+class TestScratchBuffers:
+    """The split search reads no scratch memory that its batch did not write first."""
+
+    @staticmethod
+    def poison(monkeypatch) -> list:
+        """Fill each scratch view with NaN (-1 for integers, True for masks) as the search
+        takes it, so before every `_best_splits` batch; returns (name, shape, grew) per view."""
+        taken = []
+        real = evaluator._buffer
+
+        def poisoned(scratch, name, shape, dtype=float):
+            grew = name in scratch and scratch[name].size < math.prod(shape)
+            view = real(scratch, name, shape, dtype)
+            view.fill(_POISON[view.dtype.kind])
+            taken.append((name, shape, grew))
+            return view
+
+        monkeypatch.setattr(evaluator, "_buffer", poisoned)
+        return taken
+
+    @staticmethod
+    def assert_reference(X, y, spec, classification, bases, monkeypatch):
+        batched = train_random_forest(X, y, spec, classification, bases).forests
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
+            reference = train_random_forest(X, y, spec, classification, bases).forests
+        for got, want in zip(batched, reference):
+            for name in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            tol = 0.0 if classification else 1e-12
+            assert np.allclose(got.value, want.value, rtol=tol, atol=0.0)
+
+    def test_poisoned_buffers_match_reference(self, monkeypatch):
+        taken = self.poison(monkeypatch)
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            X, y, classification = random_fit_case(rng, trial)
+            spec = ModelSpec(n_trees=2, min_samples_leaf=int(rng.integers(1, 4)), seed=trial)
+            bases = fold_bases(rng, len(y), int(rng.integers(2, 6))) if trial % 3 == 0 else None
+            self.assert_reference(X, y, spec, classification, bases, monkeypatch)
+        for n_classes in (8, 16):
+            X, y = tied_classes(trial, n_classes)
+            spec = ModelSpec(n_trees=3, min_samples_leaf=1, seed=n_classes)
+            self.assert_reference(X, y, spec, True, fold_bases(rng, len(y), 5), monkeypatch)
+        assert {name for name, _, _ in taken} >= {"at", "key", "srows", "ys", "s2", "t", "count", "gini", "sq"}
+
+    def test_later_batches_outgrow_earlier_ones(self, monkeypatch):
+        """Near-even splits of one tree's root leave two children padded past the root's rows."""
+        taken = self.poison(monkeypatch)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(300, 4))
+        for classification in (False, True):
+            y = np.digitize(X[:, 0], np.quantile(X[:, 0], [0.25, 0.5, 0.75])) if classification else X[:, 0]
+            taken.clear()
+            self.assert_reference(X, y.astype(float), ModelSpec(n_trees=1, seed=1), classification, None, monkeypatch)
+            assert any(grew for _, _, grew in taken), classification
+
+    def test_one_node_per_batch(self, monkeypatch):
+        """A node whose candidate columns times its padded rows exceed _BATCH is a batch of its own."""
+        taken = self.poison(monkeypatch)
+        rng = np.random.default_rng(4)
+        m = 8500
+        X = np.round(rng.normal(size=(m, 4)), 2)
+        for classification in (False, True):
+            y = (X[:, 0] + X[:, 2] > 0).astype(float) if classification else np.round(X[:, 0] * X[:, 1], 1)
+            taken.clear()
+            self.assert_reference(X, y, ModelSpec(n_trees=1, max_depth=3, seed=2), classification, None, monkeypatch)
+            roots = [shape for name, shape, _ in taken if name == "at"]
+            assert roots[0][0] == 1 and roots[0][1] * roots[0][2] > evaluator._BATCH
+
+
 class TestPredict:
     def test_array_walk_matches_per_row_walk(self):
         """Every row and tree stepping together predicts what walking each tree row by row does."""
@@ -220,7 +352,7 @@ class TestPredict:
 
 def _fit_in_child(conn, X, y, spec, classification):
     forest = train_random_forest(X, y, spec, classification)
-    conn.send((forest.trees, forest.predict(X)))
+    conn.send((forest.forests[0], forest.predict(X)))
     conn.close()
 
 
@@ -275,8 +407,8 @@ class TestForkedFit:
         caller = train_random_forest(X, y, spec, classification)
         with monkeypatch.context() as patch:
             patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
-            serial = train_random_forest(X, y, spec, classification).trees
-        for a, b in zip(forked, caller.trees):
+            serial = train_random_forest(X, y, spec, classification).forests[0]
+        for a, b in zip(forked, caller.forests[0]):
             assert np.array_equal(a, b)
         assert np.array_equal(forked_pred, caller.predict(X))
         for name in ("feature", "threshold", "left", "right"):
@@ -301,10 +433,10 @@ class TestForkedFit:
 
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         spec = ModelSpec(n_trees=n_trees, seed=4)
-        forest = train_random_forest(X, y, spec, classification=False).trees
+        forest = train_random_forest(X, y, spec, classification=False).forests[0]
         with monkeypatch.context() as patch:
             patch.setattr(evaluator, "_grow_forest", forest_reference.grow_forest)
-            reference = train_random_forest(X, y, spec, classification=False).trees
+            reference = train_random_forest(X, y, spec, classification=False).forests[0]
         expected = [(os.getpid(), 4 * 1_000_003 + t) for t in range(n_trees)]
         assert seeds == expected + expected
         # the root of tree t is node t, and both builders grow the same trees under it

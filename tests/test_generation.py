@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from featforge.generation import (
+    CONSTANT_STD_TOL,
+    VALUE_DUP_TOL,
     FeatureTable,
     GenerationConfig,
     cross_binary_topk,
@@ -196,6 +198,54 @@ class TestPostprocess:
         expr = FeatureExpr.unary(OperationKind.SQUARE, t.exprs[0])
         with pytest.raises(ValueError):
             postprocess(t, [(expr, np.ones(3))])
+
+    def test_matches_per_column_loop(self):
+        """One comparison per generated column keeps what one per kept column kept."""
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            t, _ = random_table(seed=trial, m=int(rng.integers(5, 40)), n=int(rng.integers(1, 6)))
+            generated = []
+            for i in range(int(rng.integers(1, 15))):
+                expr = FeatureExpr.unary(OperationKind.SQUARE, t.exprs[int(rng.integers(t.n_features))])
+                if rng.random() < 0.7:  # a fresh name, else a repeated one
+                    expr = FeatureExpr.leaf(f"g{i}")
+                kind = rng.integers(4)
+                if kind == 0:  # a constant
+                    values = np.full(t.values.shape[0], 2.5)
+                elif kind == 1 and generated:  # near a generated column
+                    values = generated[int(rng.integers(len(generated)))][1] + rng.choice([0.0, 5e-10, 2e-9])
+                elif kind == 2:  # near an original column
+                    values = t.values[:, int(rng.integers(t.n_features))] + rng.choice([0.0, 5e-10, 2e-9])
+                else:
+                    values = rng.normal(size=t.values.shape[0])
+                generated.append((expr, values))
+            got = postprocess(t, generated, step=trial)
+            want = _postprocess_per_column(t, generated, step=trial)
+            assert np.array_equal(got.values, want.values), trial
+            assert got.values.flags.c_contiguous
+            assert (got.exprs, got.created_at) == (want.exprs, want.created_at), trial
+
+
+def _postprocess_per_column(existing, generated, step=0):
+    """`postprocess` as it compared a generated column with one kept column per call."""
+    kept_values = [existing.values[:, i] for i in range(existing.n_features)]
+    kept_exprs = list(existing.exprs)
+    kept_created = list(existing.created_at)
+    seen_names = set(existing.names)
+    for expr, values in generated:
+        values = np.asarray(values, dtype=float)
+        if np.std(values) < CONSTANT_STD_TOL:
+            continue
+        name = expr_to_string(expr)
+        if name in seen_names:
+            continue
+        if any(np.max(np.abs(values - col)) < VALUE_DUP_TOL for col in kept_values):
+            continue
+        kept_values.append(values)
+        kept_exprs.append(expr)
+        kept_created.append(step)
+        seen_names.add(name)
+    return FeatureTable(values=np.column_stack(kept_values), exprs=tuple(kept_exprs), created_at=tuple(kept_created))
 
 
 class TestKBestSelect:

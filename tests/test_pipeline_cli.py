@@ -10,7 +10,7 @@ from csv_writer import save_csv
 from featforge import cli
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
-from featforge.data_core import Dataset, Task, load_csv, make_split
+from featforge.data_core import Dataset, Task, load_csv, make_folds, make_split
 from featforge.evaluator import ModelSpec, downstream_performance, evaluate_predictions, predict_test_side
 from featforge.generation import FeatureTable, GenerationConfig
 from featforge.grouping import m_cluster
@@ -19,6 +19,7 @@ from featforge.pipeline import (
     BestFeatureSet,
     PipelineConfig,
     RunReport,
+    _finish_report,
     export_trace,
     run_grfg,
     run_rdg_baseline,
@@ -608,3 +609,48 @@ class TestOneStepEngine:
                 assert got_table.created_at == want_table.created_at
                 assert got_files == want_files
                 assert sorted(got_files) == ["best_features.csv", "report.json", "trace.jsonl"]
+
+
+def _top_class_alone(n_classes: int, seed: int, m: int = 90) -> Dataset:
+    """Classes 0..n_classes-2 on most rows and the top class on one row only.
+
+    The columns take four values, so many cuts tie and a Gini score summed
+    in another order can grow another tree.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(m, 8)).astype(float)
+    y = rng.integers(0, n_classes - 1, size=m).astype(float)
+    y[int(rng.integers(m))] = n_classes - 1
+    return Dataset(samples=X, feature_names=tuple(f"f{i}" for i in range(8)), target=y, task=Task.CLASSIFICATION)
+
+
+class TestFinalCv:
+    """The final CV, from one fit that grows every fold's forest, scores as the per-fold loop did."""
+
+    # (data, seed): regression, and classification where the fold that tests
+    # the top class's one row fits without it. With 8 or 16 classes numpy sums
+    # that fold's Gini terms in another order than the other folds' terms; at
+    # these seeds a sum over every class would move the score
+    @pytest.mark.parametrize(
+        "data, seed",
+        [
+            (small_dataset(seed=4, m=70), 0),
+            (_top_class_alone(3, seed=1), 0),
+            (_top_class_alone(8, seed=20), 0),
+            (_top_class_alone(8, seed=26), 5),
+            (_top_class_alone(16, seed=32), 0),
+            (_top_class_alone(16, seed=34), 5),
+        ],
+        ids=["regression", "3 classes", "8 classes", "8 classes, seed 5", "16 classes", "16 classes, seed 5"],
+    )
+    def test_matches_per_fold_loop(self, data, seed):
+        cfg = tiny_config(seed=seed, model=ModelSpec(n_trees=4, min_samples_leaf=1, seed=seed))
+        if data.task is Task.CLASSIFICATION:
+            top = data.target.max()
+            assert sum(data.target[train].max() < top for train, _ in make_folds(data, 5, seed).folds) == 1
+        best = BestFeatureSet(table=FeatureTable.from_dataset(data), score=0.0, step=0)
+        got, want = RunReport(method="grfg"), RunReport(method="grfg")
+        _finish_report(got, best, data, cfg)
+        pipeline_reference._finish_report(want, best, data, cfg)
+        assert got.final_cv_score is not None
+        assert got.final_cv_score == want.final_cv_score
