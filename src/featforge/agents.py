@@ -4,7 +4,8 @@ Action sets (feature groups, operations) change every step, so each candidate
 is scored by a network reading state + candidate_rep -> scalar.  Two
 optimizers: one batched TD update whose two switches, a dueling value/advantage
 head and a double-Q target, ``dqn`` turns off and ``ddqn_dueling`` on; and
-actor-critic with entropy regularization.
+actor-critic with entropy regularization.  Every network carries its own Adam
+state (``DenseNet.adam``), so neither update takes an optimizer argument.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featforge.nnet import AdamState, DenseNet, adam_step, adam_update, backward, forward, init_net, softmax
+from featforge.nnet import DenseNet, adam_update, backward, forward, init_net, softmax
 from featforge.state_rep import StateVector
 
 
@@ -36,7 +37,6 @@ class Transition:
 
 
 HIDDEN = (64, 64)      # widths of each network's two hidden layers
-LEARNING_RATE = 0.01   # Adam step size of every network
 MEMORY_CAPACITY = 32   # transitions each Q agent's replay memory keeps
 
 
@@ -142,10 +142,6 @@ class QNets:
     def nets(self) -> list[DenseNet]:
         return [self.a_net] if self.v_net is None else [self.a_net, self.v_net]
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [p for net in self.nets for p in net.weights + net.biases]
-
 
 def _q_rows(nets: QNets, states, cand_sets):
     """Q of every candidate of every state, flat and in order; returns (q, starts, caches).
@@ -172,10 +168,8 @@ def q_values(nets: QNets, state: StateVector, candidates) -> np.ndarray:
     return _q_rows(nets, [state], [candidates])[0]
 
 
-def q_update(
-    batch: list[Transition], online: QNets, target: QNets, adam: AdamState, cfg: AgentConfig
-) -> float:
-    """One Adam step of ``online`` on the mean squared TD error; returns the loss.
+def q_update(batch: list[Transition], online: QNets, target: QNets, cfg: AgentConfig) -> float:
+    """One Adam step of each net of ``online`` on the mean squared TD error; returns the loss.
 
     The online nets pick each next candidate and the target nets value it
     (double Q); with ``target is online`` that value is the max, vanilla Q.
@@ -184,7 +178,7 @@ def q_update(
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    if [p.shape for p in online.params] != [p.shape for p in target.params]:
+    if [net.layer_sizes for net in online.nets] != [net.layer_sizes for net in target.nets]:
         raise ValueError("online/target architecture mismatch")
     next_states = [t.next_state for t in batch]
     next_cands = [t.next_candidates for t in batch]
@@ -205,13 +199,12 @@ def q_update(
         counts = np.array([len(t.candidates) for t in batch])
         grad_q -= np.repeat(coeff / counts, counts)
     grad_q[taken] += coeff
-    gw, gb = backward(online.a_net, a_cache, grad_q[:, None])
-    grads = [*gw, *gb]
+    grads = [backward(online.a_net, a_cache, grad_q[:, None])]
     if dueling:
-        gw, gb = backward(online.v_net, v_cache, coeff[:, None])
-        grads += [*gw, *gb]
+        grads.append(backward(online.v_net, v_cache, coeff[:, None]))
     del a_cache, v_cache  # free the activations before Adam's temporaries
-    adam_update(online.params, grads, adam)
+    for net, grad in zip(online.nets, grads):
+        adam_update(net.params, grad, net.adam)
     return float(np.mean(delta**2))
 
 
@@ -224,14 +217,7 @@ def ac_select(
     return idx, probs
 
 
-def ac_update(
-    t: Transition,
-    actor: DenseNet,
-    critic: DenseNet,
-    adam_actor: AdamState,
-    adam_critic: AdamState,
-    cfg: AgentConfig,
-) -> tuple[float, float]:
+def ac_update(t: Transition, actor: DenseNet, critic: DenseNet, cfg: AgentConfig) -> tuple[float, float]:
     """One actor-critic step; returns (critic loss, actor objective).
 
     delta = r + gamma * V(s') - V(s); the critic minimizes delta^2 and the
@@ -243,8 +229,7 @@ def ac_update(
     delta = t.reward + cfg.gamma * float(v_next[0]) - float(v_s[0])
 
     # critic: d(delta^2)/dV(s) = -2 delta
-    gw, gb = backward(critic, v_cache, np.array([-2.0 * delta]))
-    adam_step(critic, (gw, gb), adam_critic)
+    adam_update(critic.params, backward(critic, v_cache, np.array([-2.0 * delta])), critic.adam)
     critic_loss = delta**2
 
     logits_out, a_cache = forward(actor, _pairs([t.state], [t.candidates]))
@@ -260,8 +245,7 @@ def ac_update(
     d_logpi = one_hot - probs
     d_entropy = -probs * (np.log(np.clip(probs, 1e-12, None)) + entropy)
     grad_logits = -(delta * d_logpi + cfg.entropy_beta * d_entropy)
-    gw, gb = backward(actor, a_cache, grad_logits[:, None])
-    adam_step(actor, (gw, gb), adam_actor)
+    adam_update(actor.params, backward(actor, a_cache, grad_logits[:, None]), actor.adam)
     return critic_loss, objective
 
 
@@ -272,21 +256,16 @@ class CascadeAgent:
         self.cfg = cfg
         self._rng = np.random.default_rng(cfg.seed)
         in_q = state_width + candidate_width
-        h1, h2 = HIDDEN
-        acts = ("relu", "relu", "linear")
         if cfg.kind == "actor_critic":
-            self.actor = init_net((in_q, h1, h2, 1), acts, cfg.seed)
-            self.critic = init_net((state_width, h1, h2, 1), acts, cfg.seed + 1)
-            self.adam_actor = AdamState(learning_rate=LEARNING_RATE)
-            self.adam_critic = AdamState(learning_rate=LEARNING_RATE)
+            self.actor = init_net((in_q, *HIDDEN, 1), cfg.seed)
+            self.critic = init_net((state_width, *HIDDEN, 1), cfg.seed + 1)
         else:  # ddqn_dueling turns on both switches of q_update
             ddqn = cfg.kind == "ddqn_dueling"
             self.online = QNets(
-                a_net=init_net((in_q, h1, h2, 1), acts, cfg.seed + int(ddqn)),
-                v_net=init_net((state_width, h1, h2, 1), acts, cfg.seed) if ddqn else None,
+                a_net=init_net((in_q, *HIDDEN, 1), cfg.seed + int(ddqn)),
+                v_net=init_net((state_width, *HIDDEN, 1), cfg.seed) if ddqn else None,
             )
             self.target = QNets(*(net.copy() for net in self.online.nets)) if ddqn else self.online
-            self.adam = AdamState(learning_rate=LEARNING_RATE)
             self.memory = ReplayMemory(
                 MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
             )
@@ -303,16 +282,14 @@ class CascadeAgent:
         """Learn from a completed transition; returns the loss, or None before a Q
         agent's replay memory holds a batch."""
         if self.cfg.kind == "actor_critic":
-            critic_loss, _ = ac_update(
-                t, self.actor, self.critic, self.adam_actor, self.adam_critic, self.cfg
-            )
-            return critic_loss
+            return ac_update(t, self.actor, self.critic, self.cfg)[0]
         self.memory.push(t)
         batch = self.memory.sample()
         if batch is None:
             return None
-        loss = q_update(batch, self.online, self.target, self.adam, self.cfg)
-        if self.target is not self.online and self.adam.step % self.cfg.target_sync_every == 0:
+        loss = q_update(batch, self.online, self.target, self.cfg)
+        step = self.online.a_net.adam.step
+        if self.target is not self.online and step % self.cfg.target_sync_every == 0:
             for mine, theirs in zip(self.target.nets, self.online.nets):
                 mine.copy_from(theirs)
         return loss

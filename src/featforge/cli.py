@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from featforge.data_core import DataError, Task, load_csv, make_split
 from featforge.evaluator import evaluate_predictions, predict_test_side
 from featforge.grouping import m_cluster
-from featforge.operators import evaluate_expr
+from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import TEST_FRACTION, PipelineConfig, run_grfg, run_rdg_baseline
 
 TASK_ALIASES = {
@@ -266,13 +267,9 @@ def _cmd_trace(args):
         if not (args.data and args.target and args.task):
             raise _UsageError("--verify requires --data, --target, and --task")
         dataset = _load(args)
-        import csv as _csv
-
-        from featforge.operators import parse_expression
-
         with open(os.path.join(args.run, "best_features.csv"), encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
+            reader = csv.reader(fh)
+            next(reader)  # the header row
             cols = np.array([[float(v) for v in row] for row in reader])
         worst = 0.0
         for j, rec in enumerate(records):

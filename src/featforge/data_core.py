@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,8 +109,6 @@ def load_csv(path, target_column: str, task: Task) -> Dataset:
     kept = [row for row in rows if all(cell.strip() != "" for cell in row)]
     n_dropped = len(rows) - len(kept)
     if n_dropped:
-        import logging
-
         logging.getLogger(__name__).info("dropped %d rows with missing cells", n_dropped)
     if len(kept) < 2:
         raise DataError("fewer than 2 complete rows after dropping missing values")

@@ -11,19 +11,22 @@ Both networks read the same rows: all of them up to ``row_subsample_cap``,
 above it one seeded sample of that many (``_subsample_rows``).  A change of the
 sampled row count rebuilds a network from its seed; a change of the column
 count keeps the learned weights and Adam state (the ae resizes only ``wr``,
-``wr2`` and ``br2``) and fine-tunes them.
+``wr2`` and ``br2``) and fine-tunes them.  Each network's parameters are one
+array that Adam updates in one pass: the gae's ``_w``, and the ae's flat
+``_theta``, whose eight tensors are views.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from featforge.measures import abs_correlations, descriptive_stats
-from featforge.nnet import AdamState, adam_update, bce, mse
+from featforge.nnet import AdamState, adam_update, bce, mse, views
 
 log = logging.getLogger(__name__)
 
@@ -117,11 +120,14 @@ class AutoencoderEncoder:
     row-count change rebuilds the network and trains it for ``train_epochs``; a
     column-count change resizes only ``wr``, ``wr2`` and ``br2`` (``_resize``),
     Adam state included.  Either way it is then fine-tuned for ``incremental_epochs``.
+    The eight tensors ``_params`` are views of the flat ``_theta`` (``_zeros``
+    gives the order), and Adam's ``m`` and ``v`` share that layout.
     """
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         self._shape: tuple[int, int] | None = None
+        self._theta = np.zeros(0)
         self._params: list[np.ndarray] = []
         self._adam = AdamState()
 
@@ -129,14 +135,19 @@ class AutoencoderEncoder:
     def length(self) -> int:
         return self.cfg.ae_col_dim * self.cfg.ae_row_dim
 
-    def _build(self, m_s: int, n: int) -> None:
+    def _zeros(self, m_s: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A zero vector for ``m_s`` x ``n`` inputs, and its views wc, bc, wr, br, wr2, br2, wc2, bc2."""
         k, d = self.cfg.ae_col_dim, self.cfg.ae_row_dim
+        shapes = [(k, m_s), (k,), (n, d), (d,), (d, n), (n,), (m_s, k), (m_s,)]
+        flat = np.zeros(sum(map(math.prod, shapes)))
+        return flat, views(flat, shapes)
+
+    def _build(self, m_s: int, n: int) -> None:
         rng = np.random.default_rng(self.cfg.seed)
-        wc = _uniform(rng, m_s, k, m_s)
-        wr = _uniform(rng, n, n, d)
-        wr2 = _uniform(rng, d, d, n)
-        wc2 = _uniform(rng, k, m_s, k)
-        self._params = [wc, np.zeros(k), wr, np.zeros(d), wr2, np.zeros(n), wc2, np.zeros(m_s)]
+        self._theta, self._params = self._zeros(m_s, n)
+        # wc, wr, wr2 and wc2 from one stream, each bounded by its fan-in
+        for i, fan_in in ((0, m_s), (2, n), (4, self.cfg.ae_row_dim), (6, self.cfg.ae_col_dim)):
+            self._params[i][...] = _uniform(rng, fan_in, *self._params[i].shape)
         self._adam = AdamState()
         self._shape = (m_s, n)
 
@@ -144,25 +155,25 @@ class AutoencoderEncoder:
         """Change the width to ``n`` columns, matching columns by position.
 
         ``wr`` (n x d, rows), ``wr2`` (d x n, columns) and ``br2`` (n) are the
-        only width-dependent tensors.  The first min(old, n) columns keep their
-        weights and Adam moments; new columns get ``_build``'s init law from a
-        generator seeded by the config seed and both widths, and zero moments.
+        only width-dependent tensors.  ``_theta``, ``m`` and ``v`` each move into a
+        new vector of the new layout, every tensor keeping the block its old and
+        new shapes share, so the first min(old, n) columns keep their weights
+        and Adam moments; new columns get ``_build``'s init law from a generator
+        seeded by the config seed and both widths, and zero moments.
         """
         m_s, old = self._shape
-        d = self.cfg.ae_row_dim
-        keep, extra = min(old, n), max(n - old, 0)
+        d, keep = self.cfg.ae_row_dim, min(old, n)
+        old_shapes, resized = [p.shape for p in self._params], []
+        for flat in (self._theta, self._adam.m, self._adam.v):
+            new, new_views = self._zeros(m_s, n)
+            for src, dst in zip(views(flat, old_shapes), new_views):
+                common = tuple(slice(min(a, b)) for a, b in zip(src.shape, dst.shape))
+                dst[common] = src[common]
+            resized.append((new, new_views))
+        (self._theta, self._params), (self._adam.m, _), (self._adam.v, _) = resized
         rng = np.random.default_rng((self.cfg.seed, old, n))
-        # param index: (column axis, new columns' init)
-        resized = {
-            2: (0, _uniform(rng, n, extra, d)),
-            4: (1, _uniform(rng, d, d, extra)),
-            5: (0, np.zeros(extra)),
-        }
-        for i, (axis, fill) in resized.items():
-            zeros = np.zeros_like(fill)
-            for arrays, new in ((self._params, fill), (self._adam.m, zeros), (self._adam.v, zeros)):
-                kept = np.take(arrays[i], np.arange(keep), axis=axis)
-                arrays[i] = np.concatenate([kept, new], axis=axis)
+        self._params[2][keep:] = _uniform(rng, n, n - keep, d)      # wr's new rows
+        self._params[4][:, keep:] = _uniform(rng, d, d, n - keep)   # wr2's new columns
         self._shape = (m_s, n)
 
     def _forward(self, f: np.ndarray):
@@ -195,7 +206,7 @@ class AutoencoderEncoder:
 
     def _train_step(self, f: np.ndarray) -> float:
         loss, grads = self._gradients(f)
-        adam_update(self._params, grads, self._adam)
+        adam_update(self._theta, np.concatenate([g.ravel() for g in grads]), self._adam)
         return loss
 
     def encode(self, features) -> StateVector:
@@ -259,7 +270,7 @@ class GraphAutoencoderEncoder:
 
     def _train_step(self, msg: np.ndarray, a: np.ndarray) -> float:
         loss, g_w = self._gradients(msg, a)
-        adam_update([self._w], [g_w], self._adam)
+        adam_update(self._w, g_w, self._adam)
         return loss
 
     @staticmethod

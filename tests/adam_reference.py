@@ -1,8 +1,10 @@
 """The two Adam updates in use before the nets and encoders shared one in-place Adam.
 
 `adam_step` is the former `nnet.adam_step` and `_adam_update` the former
-`state_rep._adam_update`, verbatim. The tests require `nnet.adam_update` to
-leave the same parameters and moments, compared with `==`, step after step.
+`state_rep._adam_update`, verbatim. Both walk a list of tensors. The tests
+require `nnet.adam_update`, one pass over a flat vector, to leave the same
+parameters and moments, compared with `==`, step after step. The agent and
+encoder references train with these, so no oracle runs the Adam it checks.
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 `score_candidates`, `q_update_vanilla`, `DuelingNets`, `double_q_target`,
 `dueling_q_values` and `q_update_double_dueling` are the former functions of
-`featforge.agents`, verbatim but for one read: the vanilla update takes the
+`featforge.agents`, verbatim but for two reads: the vanilla update takes the
 chosen candidate as ``t.candidates[t.action_index]``, which the removed
-``Transition.action_rep`` always equalled. They run one forward and one
+``Transition.action_rep`` always equalled, and each flat gradient of
+`nnet.backward` is read as the former (weights, biases) lists through
+``DenseNet.split``. Their Adam is `adam_reference.adam_step`, the former
+per-tensor `nnet.adam_step`. They run one forward and one
 backward per transition and sum the gradients in Python lists. The tests hand
 both paths the same seeded batches and compare the loss and the gradients
 each hands to Adam.
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from adam_reference import adam_step
+
 from featforge.agents import AgentConfig, Transition
-from featforge.nnet import AdamState, DenseNet, adam_step, backward, forward
+from featforge.nnet import AdamState, DenseNet, backward, forward
 
 
 def _cat(state, cand) -> np.ndarray:
@@ -57,7 +62,7 @@ def q_update_vanilla(
         q_sa = float(out[0])
         delta = q_sa - target
         loss += delta**2
-        gw, gb = backward(net, cache, np.array([2.0 * delta / len(batch)]))
+        gw, gb = net.split(backward(net, cache, np.array([2.0 * delta / len(batch)])))
         for acc, g in zip(total_gw, gw):
             acc += g
         for acc, g in zip(total_gb, gb):
@@ -116,7 +121,7 @@ def q_update_double_dueling(
         delta = q_sa - y
         loss += delta**2
         coeff = 2.0 * delta / len(batch)
-        gw, gb = backward(online.v_net, v_cache, np.array([coeff]))
+        gw, gb = online.v_net.split(backward(online.v_net, v_cache, np.array([coeff])))
         for acc, g in zip(total_v_w, gw):
             acc += g
         for acc, g in zip(total_v_b, gb):
@@ -124,7 +129,7 @@ def q_update_double_dueling(
         n_cand = len(t.candidates)
         adv_grad = np.full((n_cand, 1), -coeff / n_cand)
         adv_grad[t.action_index, 0] += coeff
-        gw, gb = backward(online.a_net, a_cache, adv_grad)
+        gw, gb = online.a_net.split(backward(online.a_net, a_cache, adv_grad))
         for acc, g in zip(total_a_w, gw):
             acc += g
         for acc, g in zip(total_a_b, gb):

@@ -15,7 +15,9 @@ the current gae reads only the ae's sampled rows, so it is compared with the
 reference gae given those rows), `measures.abs_correlations` to match the
 per-pair loop of `GraphAutoencoderEncoder.adjacency`, and the current
 array-pass statistics and gae fold to match these per-call versions on the
-seeded matrices of `stat_inputs`.
+seeded matrices of `stat_inputs`. Both encoders train with
+`adam_reference.encoder_update`, the per-tensor Adam in use before the flat
+one of `nnet.adam_update`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from featforge.nnet import AdamState, adam_update, bce, mse
+from adam_reference import encoder_update
+
+from featforge.nnet import AdamState, bce, mse
 from featforge.state_rep import EncoderConfig, StateVector
 
 log = logging.getLogger(__name__)
@@ -194,7 +198,7 @@ class AutoencoderEncoder:
 
     def _train_step(self, f: np.ndarray) -> float:
         loss, grads = self._gradients(f)
-        adam_update(self._params, grads, self._adam)
+        encoder_update(self._params, grads, self._adam)
         return loss
 
     def _prepare(self, features: np.ndarray) -> np.ndarray:
@@ -262,7 +266,7 @@ class GraphAutoencoderEncoder:
 
     def _train_step(self, msg: np.ndarray, a: np.ndarray) -> float:
         loss, g_w = self._gradients(msg, a)
-        adam_update([self._w], [g_w], self._adam)
+        encoder_update([self._w], [g_w], self._adam)
         return loss
 
     @staticmethod

@@ -19,7 +19,7 @@ from featforge.data_core import Dataset, Task
 from featforge.evaluator import ModelSpec, metric_1rae, metric_auc, metric_f1, train_random_forest
 from featforge.grouping import FeatureGroup, group_distance, m_cluster
 from featforge.measures import entropy, mutual_information, utility_u
-from featforge.nnet import AdamState, adam_step, gradient_check, init_net
+from featforge.nnet import adam_update, gradient_check, init_net
 from featforge.operators import (
     ALL_OPERATIONS,
     FeatureExpr,
@@ -154,7 +154,7 @@ def test_criterion_3_neural_substrate():
     ]
     worst = 0.0
     for i, shape in enumerate(dict.fromkeys(agent_shapes)):
-        net = init_net(shape, ("relu", "relu", "linear"), seed=i)
+        net = init_net(shape, seed=i)
         x = rng.normal(size=shape[0])
         worst = max(worst, gradient_check(net, x, h=1e-5))
     assert worst < 1e-4
@@ -173,13 +173,13 @@ def test_criterion_3_neural_substrate():
     )
     assert worst_gae < 1e-4
     # Adam first-step magnitude ~ lr
-    net = init_net((1, 1), ("linear",), seed=0)
+    net = init_net((1, 1), seed=0)
     before = net.weights[0][0, 0]
-    adam_step(net, ([np.array([[3.0]])], [np.array([0.0])]), AdamState(learning_rate=0.01))
+    adam_update(net.params, np.array([3.0, 0.0]), net.adam)  # (weight, bias) gradient
     assert abs((before - net.weights[0][0, 0]) - 0.01) < 1e-6
     # seeded reproducibility
-    a1 = init_net((10, 64, 1), ("relu", "linear"), seed=9)
-    a2 = init_net((10, 64, 1), ("relu", "linear"), seed=9)
+    a1 = init_net((10, 64, 1), seed=9)
+    a2 = init_net((10, 64, 1), seed=9)
     assert all(np.array_equal(x, y) for x, y in zip(a1.weights, a2.weights))
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -199,7 +199,7 @@ def _sv(*values):
 
 
 def _linear_net(weights, bias=0.0):
-    net = init_net((len(weights), 1), ("linear",), seed=0)
+    net = init_net((len(weights), 1), seed=0)
     net.weights[0][:, 0] = np.asarray(weights, dtype=float)
     net.biases[0][0] = bias
     return net
@@ -227,7 +227,7 @@ def test_criterion_4_rl_updates():
     q_sa = 0.1 * 0.5 + 0.2 + 0.05
     target = 1.0 + 0.9 * max(0.1 * -0.5 + 0.2 + 0.05, 0.1 * -0.5 + 0.3 + 0.05)
     nets = QNets(net)
-    loss = q_update([t], nets, nets, AdamState(), AgentConfig(gamma=0.9))
+    loss = q_update([t], nets, nets, AgentConfig(gamma=0.9))
     assert abs(loss - (q_sa - target) ** 2) < 1e-12
     # (b) double-Q decoupling on handcrafted weights
     online = QNets(v_net=_linear_net([0.0]), a_net=_linear_net([0.0, 0.0, 1.0]))
@@ -235,7 +235,7 @@ def test_criterion_4_rl_updates():
     q_online = q_values(online, t.next_state, t.next_candidates)
     assert int(np.argmax(q_online)) == 1
     q_sa = -0.5  # V = 0 and A = [0, 1] over the current candidates; action 0 taken
-    loss = q_update([t], online, tnets, AdamState(), AgentConfig(gamma=0.9))
+    loss = q_update([t], online, tnets, AgentConfig(gamma=0.9))
     assert abs(loss - (q_sa - (1.0 + 0.9 * 0.2)) ** 2) < 1e-12  # target net evaluates the ONLINE pick
     # (c) dueling invariance under constant advantage shift
     q_before = q_values(online, t.state, t.candidates)
@@ -247,18 +247,18 @@ def test_criterion_4_rl_updates():
     critic = _linear_net([0.0])
     cfg = AgentConfig(gamma=0.9, entropy_beta=0.01)
     critic_loss, objective = ac_update(
-        _fixed_transition(reward=1.0), actor.copy(), critic.copy(), AdamState(), AdamState(), cfg
+        _fixed_transition(reward=1.0), actor.copy(), critic.copy(), cfg
     )
     assert abs(critic_loss - 1.0) < 1e-12  # V == 0 everywhere -> delta = r
     assert abs(objective - (np.log(0.5) + 0.01 * np.log(2.0))) < 1e-12  # uniform pi, H = ln 2
-    actor = init_net((3, 8, 1), ("relu", "linear"), seed=5)
+    actor = init_net((3, 8, 1), seed=5)
     t2 = _fixed_transition(reward=2.0, action_index=1)
 
     def prob():
         return ac_select(actor, t2.state, t2.candidates, np.random.default_rng(0))[1][1]
 
     p_before = prob()
-    ac_update(t2, actor, _linear_net([0.0]), AdamState(), AdamState(), cfg)
+    ac_update(t2, actor, _linear_net([0.0]), cfg)
     assert prob() > p_before
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -21,7 +21,7 @@ from featforge.agents import (
     q_values,
     select_epsilon_greedy,
 )
-from featforge.nnet import AdamState, adam_step, adam_update, forward, init_net
+from featforge.nnet import AdamState, adam_update, forward, init_net
 from featforge.state_rep import StateVector
 
 
@@ -43,7 +43,7 @@ def make_transition(reward=1.0, action_index=0):
 
 def linear_net(weights, bias=0.0):
     """Single linear layer with explicit weights (input width = len(weights))."""
-    net = init_net((len(weights), 1), ("linear",), seed=0)
+    net = init_net((len(weights), 1), seed=0)
     net.weights[0][:, 0] = np.asarray(weights, dtype=float)
     net.biases[0][0] = bias
     return net
@@ -175,12 +175,12 @@ class TestTransition:
 
 class TestScoreCandidates:
     def test_single(self):
-        net = init_net((3, 4, 1), ("relu", "linear"), seed=0)
+        net = init_net((3, 4, 1), seed=0)
         scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0)])
         assert scores.shape == (1,)
 
     def test_identical_candidates_identical_scores(self):
-        net = init_net((3, 4, 1), ("relu", "linear"), seed=1)
+        net = init_net((3, 4, 1), seed=1)
         scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0), sv(1.0, 0.0)])
         assert scores[0] == scores[1]
 
@@ -190,7 +190,7 @@ class TestScoreCandidates:
         assert np.allclose(scores, 0.25)
 
     def test_empty_rejected(self):
-        net = init_net((3, 1), ("linear",), seed=0)
+        net = init_net((3, 1), seed=0)
         with pytest.raises(ValueError):
             q_values(QNets(net), sv(0.1), [])
 
@@ -230,7 +230,7 @@ class TestQUpdateVanilla:
         target = 1.0 + 0.9 * max(next_q)
         expected_loss = (q_sa - target) ** 2
         nets = QNets(net)
-        loss = q_update([t], nets, nets, AdamState(), cfg)
+        loss = q_update([t], nets, nets, cfg)
         assert abs(loss - expected_loss) < 1e-12
 
     def test_tiny_gamma_target_is_reward(self):
@@ -239,14 +239,13 @@ class TestQUpdateVanilla:
         t = make_transition(reward=2.0, action_index=1)
         q_sa = 0.1 * 0.5 + 0.3 * 1.0 + 0.05
         nets = QNets(net)
-        loss = q_update([t], nets, nets, AdamState(), cfg)
+        loss = q_update([t], nets, nets, cfg)
         assert abs(loss - (q_sa - 2.0) ** 2) < 1e-9
 
     def test_repeated_updates_converge_10x(self):
-        net = init_net((3, 8, 1), ("relu", "linear"), seed=4)
+        net = init_net((3, 8, 1), seed=4)
         nets = QNets(net)
         cfg = AgentConfig(gamma=0.9)
-        adam = AdamState(learning_rate=0.01)
         t = make_transition(reward=1.0)
 
         def residual():
@@ -257,13 +256,13 @@ class TestQUpdateVanilla:
 
         initial = residual()
         for _ in range(100):
-            q_update([t], nets, nets, adam, cfg)
+            q_update([t], nets, nets, cfg)
         assert residual() <= initial / 10.0
 
     def test_empty_batch(self):
-        nets = QNets(init_net((3, 1), ("linear",), seed=0))
+        nets = QNets(init_net((3, 1), seed=0))
         with pytest.raises(ValueError):
-            q_update([], nets, nets, AdamState(), AgentConfig())
+            q_update([], nets, nets, AgentConfig())
 
 
 class TestDuelingDoubleQ:
@@ -299,36 +298,35 @@ class TestDuelingDoubleQ:
         assert abs(q_target[0] - 0.9) < 1e-12 and abs(q_target[1] - 0.2) < 1e-12
         # online Q over the current candidates is also [-0.5, 0.5]; action 0 was taken
         q_sa = -0.5
-        loss = q_update([t], online, target, AdamState(), AgentConfig(gamma=0.9))
+        loss = q_update([t], online, target, AgentConfig(gamma=0.9))
         assert abs(loss - (q_sa - (1.0 + 0.9 * 0.2)) ** 2) < 1e-12
         assert abs(loss - (q_sa - (1.0 + 0.9 * 0.9)) ** 2) > 0.1  # not the target net's own max
 
     def test_update_runs_and_reduces_residual(self):
         cfg = AgentConfig(kind="ddqn_dueling", gamma=0.9)
         online = QNets(
-            v_net=init_net((1, 8, 1), ("relu", "linear"), seed=0),
-            a_net=init_net((3, 8, 1), ("relu", "linear"), seed=1),
+            v_net=init_net((1, 8, 1), seed=0),
+            a_net=init_net((3, 8, 1), seed=1),
         )
         target = QNets(v_net=online.v_net.copy(), a_net=online.a_net.copy())
-        adam = AdamState()
         t = make_transition(reward=1.0)
-        first = q_update([t], online, target, adam, cfg)
+        first = q_update([t], online, target, cfg)
         for _ in range(60):
-            last = q_update([t], online, target, adam, cfg)
+            last = q_update([t], online, target, cfg)
         assert last < first
 
     def test_architecture_mismatch(self):
         cfg = AgentConfig(kind="ddqn_dueling")
         online = QNets(
-            v_net=init_net((1, 4, 1), ("relu", "linear"), seed=0),
-            a_net=init_net((3, 4, 1), ("relu", "linear"), seed=1),
+            v_net=init_net((1, 4, 1), seed=0),
+            a_net=init_net((3, 4, 1), seed=1),
         )
         target = QNets(
-            v_net=init_net((2, 4, 1), ("relu", "linear"), seed=0),
-            a_net=init_net((3, 4, 1), ("relu", "linear"), seed=1),
+            v_net=init_net((2, 4, 1), seed=0),
+            a_net=init_net((3, 4, 1), seed=1),
         )
         with pytest.raises(ValueError):
-            q_update([make_transition()], online, target, AdamState(), cfg)
+            q_update([make_transition()], online, target, cfg)
 
     def test_sync_makes_nets_identical(self):
         agent = CascadeAgent(1, 2, AgentConfig(kind="ddqn_dueling", batch_size=1, target_sync_every=1))
@@ -361,12 +359,11 @@ def td_batch(seed):
                 next_candidates=candidates(),
             )
         )
-    acts = ("relu", "relu", "linear")
 
     def nets(net_seed):
         return QNets(
-            a_net=init_net((state_w + cand_w, *HIDDEN, 1), acts, net_seed),
-            v_net=init_net((state_w, *HIDDEN, 1), acts, net_seed + 1),
+            a_net=init_net((state_w + cand_w, *HIDDEN, 1), net_seed),
+            v_net=init_net((state_w, *HIDDEN, 1), net_seed + 1),
         )
 
     return batch, nets(seed), nets(seed + 1000)
@@ -376,12 +373,12 @@ class TestBatchedTDUpdate:
     """``q_update`` against the former per-transition updates in ``agents_reference``."""
 
     @staticmethod
-    def assert_close(grads, ref):
-        # every array to 1e-12 of its net's largest entry: A's output bias has an
+    def assert_close(grad, ref):
+        # every entry to 1e-12 of its net's largest: A's output bias has an
         # exact gradient of 0, so both paths leave only rounding noise there
-        scale = max(np.max(np.abs(r)) for r in ref)
-        for g, r in zip(grads, ref, strict=True):
-            assert np.max(np.abs(g - r)) <= 1e-12 * scale
+        ref = np.concatenate([r.ravel() for r in ref])  # the weights, then the biases
+        assert grad.shape == ref.shape
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kind", ["dqn", "dueling_shared_target", "dueling_separate_target"])
     def test_matches_former_updates(self, kind, monkeypatch):
@@ -397,13 +394,13 @@ class TestBatchedTDUpdate:
             ref_handed.clear()
             if kind == "dqn":
                 nets = QNets(online.a_net)
-                loss = q_update(batch, nets, nets, AdamState(), cfg)
+                loss = q_update(batch, nets, nets, cfg)
                 ref_loss = agents_reference.q_update_vanilla(batch, online.a_net, AdamState(), cfg)
                 (ref_a,) = ref_handed
-                ref_v = []
+                ref_v = None
             else:
                 target = online if kind == "dueling_shared_target" else other
-                loss = q_update(batch, online, target, AdamState(), cfg)
+                loss = q_update(batch, online, target, cfg)
                 ref_loss = agents_reference.q_update_double_dueling(
                     batch,
                     agents_reference.DuelingNets(v_net=online.v_net, a_net=online.a_net),
@@ -414,12 +411,11 @@ class TestBatchedTDUpdate:
                 )
                 ref_v, ref_a = ref_handed
             assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-            (grads,) = handed
-            self.assert_close(grads[: len(ref_a)], ref_a)
-            if ref_v:
-                self.assert_close(grads[len(ref_a):], ref_v)
-            else:
-                assert len(grads) == len(ref_a)
+            # one flat gradient per net: A's, then V's with a dueling head
+            assert len(handed) == (1 if ref_v is None else 2)
+            self.assert_close(handed[0], ref_a)
+            if ref_v is not None:
+                self.assert_close(handed[1], ref_v)
 
     def test_one_state_q_values_match_former_scores(self):
         # select reads these: equal with == so the search picks what it picked
@@ -457,10 +453,9 @@ class TestBatchedTDUpdate:
             )
             for _ in range(8)
         ]
-        acts = ("relu", "relu", "linear")
         online = QNets(
-            a_net=init_net((129 + 143, *HIDDEN, 1), acts, 0),
-            v_net=init_net((129, *HIDDEN, 1), acts, 1) if dueling else None,
+            a_net=init_net((129 + 143, *HIDDEN, 1), 0),
+            v_net=init_net((129, *HIDDEN, 1), 1) if dueling else None,
         )
         target = QNets(*(net.copy() for net in online.nets)) if dueling else online
         cfg = AgentConfig()
@@ -473,8 +468,7 @@ class TestBatchedTDUpdate:
             tracemalloc.stop()
             return peak
 
-        adam = AdamState()
-        batched = peak(lambda: q_update(batch, online, target, adam, cfg))
+        batched = peak(lambda: q_update(batch, online, target, cfg))
         if dueling:
             pair = agents_reference.DuelingNets(v_net=online.v_net, a_net=online.a_net)
             other = agents_reference.DuelingNets(v_net=target.v_net, a_net=target.a_net)
@@ -483,6 +477,7 @@ class TestBatchedTDUpdate:
                 lambda: agents_reference.q_update_double_dueling(batch, pair, other, adam_v, adam_a, cfg)
             )
         else:
+            adam = AdamState()
             former = peak(lambda: agents_reference.q_update_vanilla(batch, online.a_net, adam, cfg))
         assert batched <= former
 
@@ -492,26 +487,26 @@ class TestBatchedTDUpdate:
         monkeypatch.setattr(agents, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))
         batch, online, _ = td_batch(1)
         nets = QNets(online.a_net)
-        q_update(batch, nets, nets, AdamState(), AgentConfig())
+        q_update(batch, nets, nets, AgentConfig())
         assert rows == [sum(len(t.next_candidates) for t in batch), len(batch)]
 
     def test_one_adam_state_equals_one_per_net(self):
-        _, joint, _ = td_batch(3)
-        apart = QNets(a_net=joint.a_net.copy(), v_net=joint.v_net.copy())
-        one, adam_a, adam_v = AdamState(), AdamState(), AdamState()
+        # the dueling pair steps in lockstep, so one Adam over both vectors is one per net
+        _, apart, _ = td_batch(3)
+        joint, one = np.concatenate([apart.a_net.params, apart.v_net.params]), AdamState()
+        k = apart.a_net.params.size
         rng = np.random.default_rng(0)
-        k = len(joint.a_net.weights)
         for _ in range(5):
-            grads = [rng.normal(size=p.shape) for p in joint.params]
-            adam_update(joint.params, grads, one)
-            adam_step(apart.a_net, (grads[:k], grads[k : 2 * k]), adam_a)
-            adam_step(apart.v_net, (grads[2 * k : 3 * k], grads[3 * k :]), adam_v)
-        assert all(np.array_equal(p, q) for p, q in zip(joint.params, apart.params, strict=True))
+            grads = rng.normal(size=joint.size)
+            adam_update(joint, grads, one)
+            adam_update(apart.a_net.params, grads[:k], apart.a_net.adam)
+            adam_update(apart.v_net.params, grads[k:], apart.v_net.adam)
+        assert np.array_equal(joint, np.concatenate([apart.a_net.params, apart.v_net.params]))
 
 
 class TestActorCritic:
     def test_select_probabilities(self):
-        actor = init_net((3, 4, 1), ("relu", "linear"), seed=2)
+        actor = init_net((3, 4, 1), seed=2)
         idx, probs = ac_select(actor, sv(0.1), [sv(1.0, 0.0), sv(0.0, 1.0)], np.random.default_rng(0))
         assert 0 <= idx < 2
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -534,10 +529,10 @@ class TestActorCritic:
 
     def test_delta_substitution(self):
         # zero-weight critic: V = 0 everywhere -> delta = reward; critic loss = delta^2
-        actor = init_net((3, 4, 1), ("relu", "linear"), seed=3)
+        actor = init_net((3, 4, 1), seed=3)
         critic = linear_net([0.0], bias=0.0)
         t = make_transition(reward=1.0)
-        critic_loss, _ = ac_update(t, actor, critic, AdamState(), AdamState(), AgentConfig(gamma=0.9))
+        critic_loss, _ = ac_update(t, actor, critic, AgentConfig(gamma=0.9))
         assert abs(critic_loss - 1.0) < 1e-12
 
     def test_uniform_entropy_in_objective(self):
@@ -546,12 +541,12 @@ class TestActorCritic:
         critic = linear_net([0.0], bias=0.0)
         t = make_transition(reward=1.0)
         cfg = AgentConfig(gamma=0.9, entropy_beta=0.01)
-        _, objective = ac_update(t, actor, critic, AdamState(), AdamState(), cfg)
+        _, objective = ac_update(t, actor, critic, cfg)
         expected = 1.0 * np.log(0.5) + 0.01 * np.log(2.0)
         assert abs(objective - expected) < 1e-12
 
     def test_positive_delta_increases_action_probability(self):
-        actor = init_net((3, 8, 1), ("relu", "linear"), seed=5)
+        actor = init_net((3, 8, 1), seed=5)
         critic = linear_net([0.0], bias=0.0)
         t = make_transition(reward=2.0, action_index=1)
 
@@ -559,7 +554,7 @@ class TestActorCritic:
             return ac_select(actor, t.state, t.candidates, np.random.default_rng(0))[1][t.action_index]
 
         before = prob_of_action()
-        ac_update(t, actor, critic, AdamState(), AdamState(), AgentConfig(gamma=0.9))
+        ac_update(t, actor, critic, AgentConfig(gamma=0.9))
         assert prob_of_action() > before
 
 

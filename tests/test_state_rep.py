@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from featforge import state_rep
+from featforge.nnet import AdamState, views
 from featforge.state_rep import (
     DS_LENGTH,
     AutoencoderEncoder,
@@ -290,25 +291,32 @@ class TestFitLength:
 
 
 class TestExactAdam:
-    """Both encoders train as they did with the former out-of-place Adam."""
+    """Both encoders' one Adam pass over one array leaves what the former per-tensor Adam left."""
 
     @pytest.mark.parametrize("kind", [AutoencoderEncoder, GraphAutoencoderEncoder])
-    def test_encoder_matches_reference(self, kind, monkeypatch):
+    def test_encoder_matches_reference(self, kind):
         cfg = EncoderConfig(seed=3)
-        # the width change keeps the encoder and its Adam state, so the step count runs on
-        inputs = [random_features(seed, m=40, n=n) for seed, n in ((0, 5), (1, 5), (2, 5), (3, 6), (4, 6))]
         enc = kind(cfg)
-        states = [enc.encode(f).values for f in inputs]
-        with monkeypatch.context() as patch:
-            patch.setattr(state_rep, "adam_update", adam_reference.encoder_update)
-            ref = kind(cfg)
-            ref_states = [ref.encode(f).values for f in inputs]
-        assert ref._adam.step == enc._adam.step == cfg.train_epochs + 4 * cfg.incremental_epochs
-        assert all(np.array_equal(a, b) for a, b in zip(states, ref_states))
-        params = enc._params if kind is AutoencoderEncoder else [enc._w]
-        ref_params = ref._params if kind is AutoencoderEncoder else [ref._w]
-        assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
-        assert all(np.array_equal(a, b) for a, b in zip(enc._adam.m + enc._adam.v, ref._adam.m + ref._adam.v))
+        enc.encode(random_features(0, m=40, n=5))  # trained: the moments are not zero
+        ref = AdamState(step=enc._adam.step)
+        for seed in range(1, 9):
+            f = random_features(seed, m=40, n=5 if seed <= 4 else 6)
+            if kind is AutoencoderEncoder:
+                if enc._shape[1] != f.shape[1]:
+                    enc._resize(f.shape[1])  # the step count runs on across the width change
+                args = (f,)
+            else:
+                a = enc.adjacency(f)
+                args = (enc._message_matrix(f, a), a)
+            if seed in (1, 5):  # the per-tensor copy of the (resized) state
+                params, moments = _weights(enc), _moments(enc)
+                ref.m, ref.v = moments[: len(params)], moments[len(params) :]
+            grads = enc._gradients(*args)[1]
+            enc._train_step(*args)
+            adam_reference.encoder_update(params, grads if kind is AutoencoderEncoder else [grads], ref)
+            assert _equal(_weights(enc), params)
+            assert _equal(_moments(enc), ref.m + ref.v)
+        assert enc._adam.step == ref.step == cfg.train_epochs + 8
 
 
 def _weights(enc):
@@ -316,7 +324,12 @@ def _weights(enc):
 
 
 def _moments(enc):
-    return [a.copy() for a in enc._adam.m + enc._adam.v]
+    """Adam's m tensors, then its v tensors; the current encoders keep each as one array."""
+    m, v = enc._adam.m, enc._adam.v
+    if isinstance(m, list):  # a reference encoder
+        return [a.copy() for a in m + v]
+    shapes = [p.shape for p in _weights(enc)]
+    return [a.copy() for flat in (m, v) for a in views(flat.ravel(), shapes)]
 
 
 def _equal(xs, ys):
@@ -331,8 +344,8 @@ def _copy_state(src, dst, shape):
         dst._w = src._w.copy()
     dst._shape = shape
     dst._adam.step = src._adam.step
-    dst._adam.m = [a.copy() for a in src._adam.m]
-    dst._adam.v = [a.copy() for a in src._adam.v]
+    moments = _moments(src)
+    dst._adam.m, dst._adam.v = moments[: len(moments) // 2], moments[len(moments) // 2 :]
 
 
 class TestWarmStart:
@@ -366,13 +379,14 @@ class TestWarmStart:
         params, moments, step = _weights(enc), _moments(enc), enc._adam.step
         count = len(params)
         enc._resize(new)
+        after = _moments(enc)
         keep, extra = min(old, new), max(new - old, 0)
         assert enc._shape == (m, new) and enc._adam.step == step
         # wc, bc, br, wc2 and bc2 do not depend on the width
         for i in (0, 1, 3, 6, 7):
             assert np.array_equal(enc._params[i], params[i])
-            assert np.array_equal(enc._adam.m[i], moments[i])
-            assert np.array_equal(enc._adam.v[i], moments[count + i])
+            assert np.array_equal(after[i], moments[i])
+            assert np.array_equal(after[count + i], moments[count + i])
         rng = np.random.default_rng((cfg.seed, old, new))
         # param index: (column axis, new columns' init, new shape)
         drawn = {
@@ -381,14 +395,26 @@ class TestWarmStart:
             5: (0, np.zeros(extra), (new,)),
         }
         for i, (axis, fresh, shape) in drawn.items():
-            assert enc._params[i].shape == enc._adam.m[i].shape == enc._adam.v[i].shape == shape
+            assert enc._params[i].shape == after[i].shape == after[count + i].shape == shape
             got = np.moveaxis(enc._params[i], axis, 0)
             assert np.array_equal(got[:keep], np.moveaxis(params[i], axis, 0)[:keep])
             assert np.array_equal(got[keep:], np.moveaxis(fresh, axis, 0))
             for j in (i, count + i):
-                mom = np.moveaxis((enc._adam.m + enc._adam.v)[j], axis, 0)
+                mom = np.moveaxis(after[j], axis, 0)
                 assert np.array_equal(mom[:keep], np.moveaxis(moments[j], axis, 0)[:keep])
                 assert not mom[keep:].any()
+
+    @pytest.mark.parametrize("old,new", [(5, 7), (7, 5)])
+    def test_autoencoder_resize_views_the_new_vector(self, old, new):
+        enc = AutoencoderEncoder(EncoderConfig(seed=13))
+        enc.encode(random_features(0, m=30, n=old))
+        before = enc._theta
+        enc._resize(new)
+        assert not np.shares_memory(enc._theta, before)
+        assert all(np.shares_memory(p, enc._theta) for p in enc._params)
+        assert sum(p.size for p in enc._params) == enc._theta.size == enc._adam.m.size == enc._adam.v.size
+        enc._theta[:] = 0.0  # every tensor reads the new vector
+        assert not any(p.any() for p in enc._params)
 
     @pytest.mark.parametrize("kind,ref_kind", KINDS)
     def test_width_change_fine_tunes(self, kind, ref_kind):
@@ -441,7 +467,7 @@ class TestWarmStart:
         enc = GraphAutoencoderEncoder(cfg)
         enc.encode(random_features(0, m=2000, n=8))
         # the default cap
-        assert enc._w.shape == enc._adam.m[0].shape == enc._adam.v[0].shape == (256, cfg.gae_dim)
+        assert enc._w.shape == enc._adam.m.shape == enc._adam.v.shape == (256, cfg.gae_dim)
 
     @pytest.mark.parametrize("m", [200, 300, 2000])
     def test_ae_and_gae_read_the_same_rows(self, m):
