@@ -1,7 +1,8 @@
 """Cascading reinforced agents over variable-size candidate sets.
 
 Action sets (feature groups, operations) change every step, so each candidate
-is scored by a network reading state + candidate_rep -> scalar.  Two
+is scored by a network reading state + candidate_rep -> scalar.  A state is a
+1-D float array and a candidate set a 2-D array with one row per candidate.  Two
 optimizers: one batched TD update whose two switches, a dueling value/advantage
 head and a double-Q target, ``dqn`` turns off and ``ddqn_dueling`` on; and
 actor-critic with entropy regularization.  Every network carries its own Adam
@@ -15,20 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from featforge.nnet import DenseNet, adam_update, backward, forward, init_net, softmax
-from featforge.state_rep import StateVector
 
 
 @dataclass(frozen=True)
 class Transition:
-    state: StateVector
+    state: np.ndarray
     action_index: int
-    candidates: tuple[StateVector, ...]
+    candidates: np.ndarray
     reward: float
-    next_state: StateVector
-    next_candidates: tuple[StateVector, ...]
+    next_state: np.ndarray
+    next_candidates: np.ndarray
 
     def __post_init__(self):
-        if not self.next_candidates:
+        if len(self.next_candidates) == 0:
             raise ValueError("next_candidates must be non-empty")
         if not 0 <= self.action_index < len(self.candidates):
             raise ValueError("action_index must index candidates")
@@ -115,9 +115,13 @@ class ReplayMemory:
 
 def _pairs(states, cand_sets) -> np.ndarray:
     """One row state + candidate per candidate of each state, states in order."""
-    return np.stack(
-        [np.concatenate([s.values, c.values]) for s, cands in zip(states, cand_sets) for c in cands]
-    )
+    width, start = len(states[0]), 0
+    rows = np.empty((sum(map(len, cand_sets)), width + len(cand_sets[0][0])))
+    for s, cands in zip(states, cand_sets):
+        block = rows[start : start + len(cands)]
+        block[:, :width], block[:, width:] = s, cands
+        start += len(cands)
+    return rows
 
 
 def select_epsilon_greedy(scores, epsilon: float, rng: np.random.Generator) -> int:
@@ -155,15 +159,15 @@ def _q_rows(nets: QNets, states, cand_sets):
     adv = adv_out[:, 0]
     if nets.v_net is None:
         return adv, starts, (a_cache, None)
-    v_out, v_cache = forward(nets.v_net, np.stack([s.values for s in states]))
+    v_out, v_cache = forward(nets.v_net, np.stack(states))
     mean = [seg.mean() for seg in np.split(adv, starts[1:])]
     q = np.repeat(v_out[:, 0], counts) + adv - np.repeat(mean, counts)
     return q, starts, (a_cache, v_cache)
 
 
-def q_values(nets: QNets, state: StateVector, candidates) -> np.ndarray:
-    """Q(s, c) of each candidate of one state; without V, each candidate's score."""
-    if not candidates:
+def q_values(nets: QNets, state: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Q(s, c) of each candidate row of one state; without V, each candidate's score."""
+    if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
     return _q_rows(nets, [state], [candidates])[0]
 
@@ -189,7 +193,7 @@ def q_update(batch: list[Transition], online: QNets, target: QNets, cfg: AgentCo
     y = np.array([t.reward for t in batch]) + cfg.gamma * q_next[picked]
 
     dueling = online.v_net is not None
-    cand_sets = [t.candidates if dueling else (t.candidates[t.action_index],) for t in batch]
+    cand_sets = [t.candidates if dueling else t.candidates[t.action_index : t.action_index + 1] for t in batch]
     q, starts, (a_cache, v_cache) = _q_rows(online, [t.state for t in batch], cand_sets)
     taken = starts + [t.action_index if dueling else 0 for t in batch]
     delta = q[taken] - y
@@ -209,7 +213,7 @@ def q_update(batch: list[Transition], online: QNets, target: QNets, cfg: AgentCo
 
 
 def ac_select(
-    actor: DenseNet, state: StateVector, candidates, rng: np.random.Generator
+    actor: DenseNet, state: np.ndarray, candidates: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """Sample an action from the softmax over candidate logits."""
     probs = softmax(forward(actor, _pairs([state], [candidates]))[0][:, 0])
@@ -224,8 +228,8 @@ def ac_update(t: Transition, actor: DenseNet, critic: DenseNet, cfg: AgentConfig
     actor ascends delta * ln pi(a|s) + beta * H(pi), with delta held constant
     for the actor.
     """
-    v_s, v_cache = forward(critic, t.state.values)
-    v_next, _ = forward(critic, t.next_state.values)
+    v_s, v_cache = forward(critic, t.state)
+    v_next, _ = forward(critic, t.next_state)
     delta = t.reward + cfg.gamma * float(v_next[0]) - float(v_s[0])
 
     # critic: d(delta^2)/dV(s) = -2 delta
@@ -270,7 +274,7 @@ class CascadeAgent:
                 MEMORY_CAPACITY, cfg.batch_size, np.random.default_rng(cfg.seed + 7)
             )
 
-    def select(self, state: StateVector, candidates, epsilon: float) -> tuple[int, float]:
+    def select(self, state: np.ndarray, candidates: np.ndarray, epsilon: float) -> tuple[int, float]:
         """Pick a candidate index; returns (index, probability of that action)."""
         if self.cfg.kind == "actor_critic":
             idx, probs = ac_select(self.actor, state, candidates, self._rng)

@@ -258,19 +258,23 @@ def _cmd_trace(args):
     trace_path = os.path.join(args.run, "trace.jsonl")
     if not os.path.exists(trace_path):
         raise DataError(f"no trace file at {trace_path}")
-    records = []
-    with open(trace_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+    try:
+        with open(trace_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{trace_path}: {exc.doc.strip()!r} is not JSON ({exc.msg})") from exc
     if args.verify:
         if not (args.data and args.target and args.task):
             raise _UsageError("--verify requires --data, --target, and --task")
         dataset = _load(args)
-        with open(os.path.join(args.run, "best_features.csv"), encoding="utf-8") as fh:
+        csv_path = os.path.join(args.run, "best_features.csv")
+        with open(csv_path, encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)  # the header row
+            header = next(reader, [])  # an empty file has no header row
             cols = np.array([[float(v) for v in row] for row in reader])
+        if len(cols) != dataset.n_rows or len(header) < len(records):
+            want = f"--data has {dataset.n_rows} rows, the trace {len(records)} records"
+            raise DataError(f"{csv_path} is {len(cols)} rows x {len(header)} columns; {want}")
         worst = 0.0
         for j, rec in enumerate(records):
             expr = parse_expression(rec["expression"])

@@ -37,7 +37,6 @@ class FeatureGroup:
 class GroupPartition:
     groups: tuple[FeatureGroup, ...]
     threshold_used: float
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -95,9 +94,7 @@ def m_cluster(
     mi, names, values = named_columns(features, target, mi)
     n = values.shape[1]
     if n == 1:
-        return GroupPartition(
-            groups=(FeatureGroup((0,)),), threshold_used=0.0, epsilon=epsilon
-        )
+        return GroupPartition(groups=(FeatureGroup((0,)),), threshold_used=0.0)
 
     upper = np.triu_indices(n, 1)
     if metric == "relevance_redundancy":
@@ -141,7 +138,6 @@ def m_cluster(
             FeatureGroup(tuple(np.flatnonzero(owner == k).tolist())) for k in np.flatnonzero(size)
         ),
         threshold_used=threshold,
-        epsilon=epsilon,
     )
 
 

@@ -33,7 +33,7 @@ from featforge.generation import (
 from featforge.grouping import DEFAULT_EPSILON, FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS, expr_to_string
-from featforge.state_rep import EncoderConfig, StateEncoder, compose_state, rep_operation
+from featforge.state_rep import EncoderConfig, StateEncoder
 
 TEST_FRACTION = 0.2  # share of rows that V_A scores; the rest fit the model
 FINAL_CV_FOLDS = 5   # folds of the report's cross-validated score of the best set
@@ -118,14 +118,12 @@ def _singleton_partition(n: int) -> GroupPartition:
 class _CascadePolicy:
     """GRFG: M-Clustering's groups, state encoders and the three cascading agents."""
 
-    ROLES = ("group1", "operation", "group2")
-
     def __init__(self, cfg: PipelineConfig, seeds: list, y: np.ndarray, mi: MIEngine):
         self.cfg, self.y, self.mi = cfg, y, mi
         self.encoder = StateEncoder(cfg.state_method, replace(cfg.encoder, seed=int(seeds[1]) % 2**31))
         width = self.encoder.length
         n_ops = len(ALL_OPERATIONS)
-        self.op_candidates = tuple(rep_operation(i, n_ops) for i in range(n_ops))
+        self.op_candidates = np.eye(n_ops)  # one one-hot row per operation
         shapes = ((width, width), (2 * width, n_ops), (2 * width + n_ops, width))
         self.agents = [
             CascadeAgent(state_width, candidate_width, replace(cfg.agent, seed=int(seeds[2 + i]) % 2**31))
@@ -137,21 +135,18 @@ class _CascadePolicy:
 
     def choose(self, table: FeatureTable, global_step: int):
         cfg = self.cfg
-        if cfg.no_cluster or table.n_features == 1:
+        if cfg.no_cluster:
             partition = _singleton_partition(table.n_features)
         else:
             partition = m_cluster(table, self.y, mi=self.mi, **cfg.cluster_kwargs())
         rep_f = self.encoder.encode(table.values, scope="set")
-        group_reps = tuple(
-            self.encoder.encode(table.values[:, list(g.indices)], scope="group")
-            for g in partition.groups
+        group_reps = np.stack(
+            [self.encoder.encode(table.values[:, list(g.indices)], scope="group") for g in partition.groups]
         )
         eps = epsilon_at(global_step, cfg.agent)
         parts, chosen = [rep_f], []
-        for k, (role, agent, candidates) in enumerate(
-            zip(self.ROLES, self.agents, (group_reps, self.op_candidates, group_reps))
-        ):
-            state = compose_state(role, parts)
+        for k, (agent, candidates) in enumerate(zip(self.agents, (group_reps, self.op_candidates, group_reps))):
+            state = np.concatenate(parts)  # the set's encoding, then each earlier agent's chosen row
             if self.pending[k] is not None:
                 agent.observe(self.pending[k](next_state=state, next_candidates=candidates))
             idx, _ = agent.select(state, candidates, eps)

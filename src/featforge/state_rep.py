@@ -1,11 +1,12 @@
-"""Fixed-length state encodings of feature sets, groups, and operations.
+"""Fixed-length float-vector encodings of feature sets and groups.
 
 Three part encoders: ``ds`` (descriptive statistics of the columns'
 descriptive statistics, 49 values, two array passes), ``ae`` (column-then-row
 autoencoder bottleneck with a mirrored linear decoder), ``gae`` (one-layer
 graph convolutional autoencoder over the feature correlation graph).  Each has
 a ``length`` and an ``encode(features)`` that returns exactly that many
-values; ``StateEncoder`` concatenates them for ``ds+ae`` and ``ds+ae+gae``.
+values; ``StateEncoder`` concatenates them for ``ds+ae`` and ``ds+ae+gae`` and
+rejects a non-finite result.
 ds is pure; ae/gae own training state and are warm-started between calls.
 Both networks read the same rows: all of them up to ``row_subsample_cap``,
 above it one seeded sample of that many (``_subsample_rows``).  A change of the
@@ -34,20 +35,6 @@ DS_LENGTH = 49
 
 
 @dataclass(frozen=True)
-class StateVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector must be finite")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class EncoderConfig:
     ae_col_dim: int = 8  # k: latent size per column
     ae_row_dim: int = 8  # d: latent size per row
@@ -69,32 +56,12 @@ def _as_matrix(features) -> np.ndarray:
     return f[:, None] if f.ndim == 1 else f
 
 
-def rep_ds(features) -> StateVector:
+def rep_ds(features) -> np.ndarray:
     """Descriptive statistics of descriptive statistics, flattened to 49 values.
 
     Row i of the 7 x 7 result holds the statistics of stat i over the columns.
     """
-    meta = descriptive_stats(descriptive_stats(_as_matrix(features).T)).T
-    return StateVector(values=meta.ravel())
-
-
-def rep_operation(op_index: int, op_count: int) -> StateVector:
-    if not 0 <= op_index < op_count:
-        raise ValueError(f"op index {op_index} out of range [0, {op_count})")
-    v = np.zeros(op_count)
-    v[op_index] = 1.0
-    return StateVector(values=v)
-
-
-def compose_state(role: str, parts) -> StateVector:
-    """Concatenate representation parts for one of the three cascading agents."""
-    arity = {"group1": 1, "operation": 2, "group2": 3}
-    if role not in arity:
-        raise ValueError(f"unknown role {role!r}")
-    if len(parts) != arity[role]:
-        raise ValueError(f"role {role!r} expects {arity[role]} parts, got {len(parts)}")
-    values = np.concatenate([p.values for p in parts])
-    return StateVector(values=values)
+    return descriptive_stats(descriptive_stats(_as_matrix(features).T)).T.ravel()
 
 
 @lru_cache(maxsize=8)
@@ -209,7 +176,7 @@ class AutoencoderEncoder:
         adam_update(self._theta, np.concatenate([g.ravel() for g in grads]), self._adam)
         return loss
 
-    def encode(self, features) -> StateVector:
+    def encode(self, features) -> np.ndarray:
         f = _as_matrix(features)
         f = f[_subsample_rows(len(f), self.cfg), :]
         if f.size == 0:
@@ -222,7 +189,7 @@ class AutoencoderEncoder:
             self._resize(f.shape[1])
         for _ in range(epochs):
             self._train_step(f)
-        return StateVector(values=self._forward(f)[3].ravel())
+        return self._forward(f)[3].ravel()
 
 
 class GraphAutoencoderEncoder:
@@ -280,14 +247,13 @@ class GraphAutoencoderEncoder:
         norm_a = a * d_half[:, None] * d_half[None, :]
         return norm_a @ features.T  # n x m
 
-    def encode(self, features) -> StateVector:
+    def encode(self, features) -> np.ndarray:
         features = _as_matrix(features)
         if features.shape[1] < 2:
             # a one-column group is a normal M-Clustering result
             log.debug("gae needs >= 2 features (got %d); falling back to ds", features.shape[1])
-            ds, width = rep_ds(features).values, self.cfg.gae_dim
-            folded = np.bincount(np.arange(DS_LENGTH) % width, weights=ds, minlength=width)
-            return StateVector(values=folded)
+            width = self.cfg.gae_dim
+            return np.bincount(np.arange(DS_LENGTH) % width, weights=rep_ds(features), minlength=width)
         f = features[_subsample_rows(len(features), self.cfg), :]
         a = self.adjacency(f)
         msg = self._message_matrix(f, a)
@@ -298,7 +264,7 @@ class GraphAutoencoderEncoder:
         for _ in range(epochs):
             self._train_step(msg, a)
         z = self._forward(msg)[1]
-        return StateVector(values=z.mean(axis=0))
+        return z.mean(axis=0)
 
 
 class DescriptiveStatsEncoder:
@@ -341,7 +307,9 @@ class StateEncoder:
     def length(self) -> int:
         return sum(part.length for part in self._parts("set"))
 
-    def encode(self, features, scope: str = "set") -> StateVector:
-        """Encode a feature matrix; ``scope`` keys warm-started network state."""
-        pieces = [part.encode(features).values for part in self._parts(scope)]
-        return StateVector(values=np.concatenate(pieces))
+    def encode(self, features, scope: str = "set") -> np.ndarray:
+        """Encode a feature matrix as one finite float vector; ``scope`` keys warm-started network state."""
+        state = np.concatenate([part.encode(features) for part in self._parts(scope)])
+        if not np.all(np.isfinite(state)):
+            raise ValueError("state vector must be finite")
+        return state

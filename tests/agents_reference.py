@@ -26,12 +26,12 @@ from featforge.nnet import AdamState, DenseNet, backward, forward
 
 
 def _cat(state, cand) -> np.ndarray:
-    return np.concatenate([state.values, cand.values])
+    return np.concatenate([state, cand])
 
 
 def score_candidates(net: DenseNet, state, candidates) -> np.ndarray:
     """Scalar score per candidate from a state+candidate network."""
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("candidate list must be non-empty")
     batch = np.stack([_cat(state, c) for c in candidates])
     out, _ = forward(net, batch)
@@ -40,7 +40,7 @@ def score_candidates(net: DenseNet, state, candidates) -> np.ndarray:
 
 def dueling_q_values(v_net: DenseNet, a_net: DenseNet, state, candidates) -> np.ndarray:
     """Q(s, a_i) = V(s) + A(s, a_i) - mean_j A(s, a_j)."""
-    v_out, _ = forward(v_net, state.values)
+    v_out, _ = forward(v_net, state)
     adv = score_candidates(a_net, state, candidates)
     return float(v_out[0]) + adv - adv.mean()
 
@@ -113,7 +113,7 @@ def q_update_double_dueling(
     for t in batch:
         y = double_q_target(t, online, target, cfg.gamma)
 
-        v_out, v_cache = forward(online.v_net, t.state.values)
+        v_out, v_cache = forward(online.v_net, t.state)
         adv_batch = np.stack([_cat(t.state, c) for c in t.candidates])
         adv_out, a_cache = forward(online.a_net, adv_batch)
         adv = adv_out[:, 0]

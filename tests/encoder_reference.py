@@ -30,7 +30,7 @@ import numpy as np
 from adam_reference import encoder_update
 
 from featforge.nnet import AdamState, bce, mse
-from featforge.state_rep import EncoderConfig, StateVector
+from featforge.state_rep import EncoderConfig
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ def descriptive_stats(x) -> StatVector7:
     )
 
 
-def rep_ds(features) -> StateVector:
+def rep_ds(features) -> np.ndarray:
     """Descriptive statistics of descriptive statistics, flattened to 49 values."""
     features = np.asarray(features, dtype=float)
     if features.ndim == 1:
@@ -90,7 +90,7 @@ def rep_ds(features) -> StateVector:
     meta = np.column_stack(
         [descriptive_stats(col_stats[i, :]).as_array() for i in range(7)]
     ).T  # 7 x 7, row i = stats of stat-row i
-    return StateVector(values=meta.ravel())
+    return meta.ravel()
 
 
 def _fit_length(vec: np.ndarray, length: int) -> np.ndarray:
@@ -206,7 +206,7 @@ class AutoencoderEncoder:
             features = features[:, None]
         return features[self._rows(features.shape[0]), :]
 
-    def encode(self, features) -> StateVector:
+    def encode(self, features) -> np.ndarray:
         f = self._prepare(np.asarray(features, dtype=float))
         if f.size == 0:
             raise ValueError("empty feature matrix")
@@ -217,7 +217,7 @@ class AutoencoderEncoder:
         for _ in range(epochs):
             self._train_step(f)
         z2 = self._forward(f)[3]
-        return StateVector(values=z2.ravel())
+        return z2.ravel()
 
 
 class GraphAutoencoderEncoder:
@@ -276,7 +276,7 @@ class GraphAutoencoderEncoder:
         norm_a = a * d_half[:, None] * d_half[None, :]
         return norm_a @ features.T  # n x m
 
-    def encode(self, features) -> StateVector:
+    def encode(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features[:, None]
@@ -294,7 +294,7 @@ class GraphAutoencoderEncoder:
         for _ in range(epochs):
             self._train_step(msg, a)
         z = self._forward(msg)[1]
-        return StateVector(values=z.mean(axis=0))
+        return z.mean(axis=0)
 
 
 def stat_inputs():

@@ -152,7 +152,7 @@ def m_cluster(
     n = features.shape[1]
     if n == 1:
         return GroupPartition(
-            groups=(FeatureGroup((0,)),), threshold_used=0.0, epsilon=epsilon
+            groups=(FeatureGroup((0,)),), threshold_used=0.0
         )
 
     if metric == "relevance_redundancy":
@@ -201,7 +201,6 @@ def m_cluster(
     return GroupPartition(
         groups=tuple(FeatureGroup(g) for g in sorted(groups, key=lambda g: g[0])),
         threshold_used=threshold,
-        epsilon=epsilon,
     )
 
 

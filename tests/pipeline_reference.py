@@ -7,6 +7,11 @@ to give the same reports, best tables and output files.
 
 ``_finish_report`` is the final CV as it was before one fit grew every fold's
 forest: one ``downstream_performance`` call per fold.
+
+``rep_operation`` and ``compose_state`` are the former ``state_rep`` functions,
+verbatim but for their container: they return a plain float array where they
+returned a finite-checked wrapper.  Candidate sets are matrices, one row per
+candidate, as the agents take them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,25 @@ from featforge.grouping import FeatureGroup, GroupPartition, m_cluster
 from featforge.measures import MIEngine, utility_u
 from featforge.operators import ALL_OPERATIONS
 from featforge.pipeline import FINAL_CV_FOLDS, TEST_FRACTION, BestFeatureSet, PipelineConfig, RunReport, _write_outputs
-from featforge.state_rep import EncoderConfig, StateEncoder, StateVector, compose_state, rep_operation
+from featforge.state_rep import EncoderConfig, StateEncoder
+
+
+def rep_operation(op_index: int, op_count: int) -> np.ndarray:
+    if not 0 <= op_index < op_count:
+        raise ValueError(f"op index {op_index} out of range [0, {op_count})")
+    v = np.zeros(op_count)
+    v[op_index] = 1.0
+    return v
+
+
+def compose_state(role: str, parts) -> np.ndarray:
+    """Concatenate representation parts for one of the three cascading agents."""
+    arity = {"group1": 1, "operation": 2, "group2": 3}
+    if role not in arity:
+        raise ValueError(f"unknown role {role!r}")
+    if len(parts) != arity[role]:
+        raise ValueError(f"role {role!r} expects {arity[role]} parts, got {len(parts)}")
+    return np.concatenate(parts)
 
 
 def _singleton_partition(n: int) -> GroupPartition:
@@ -53,14 +76,14 @@ class _PendingTransition:
         self.candidates = candidates
         self.reward = reward
 
-    def finalize(self, next_state: StateVector, next_candidates) -> Transition:
+    def finalize(self, next_state: np.ndarray, next_candidates) -> Transition:
         return Transition(
             state=self.state,
             action_index=self.action_index,
-            candidates=tuple(self.candidates),
+            candidates=self.candidates,
             reward=self.reward,
             next_state=next_state,
-            next_candidates=tuple(next_candidates),
+            next_candidates=next_candidates,
         )
 
 
@@ -86,7 +109,7 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
     encoder = StateEncoder(cfg.state_method, enc_cfg)
     width = encoder.length
     n_ops = len(ALL_OPERATIONS)
-    op_candidates = tuple(rep_operation(i, n_ops) for i in range(n_ops))
+    op_candidates = np.stack([rep_operation(i, n_ops) for i in range(n_ops)])
 
     def agent_cfg(i: int) -> AgentConfig:
         return AgentConfig(
@@ -134,9 +157,8 @@ def run_grfg(dataset: Dataset, cfg: PipelineConfig):
                     mi=mi,
                 )
             rep_f = encoder.encode(table.values, scope="set")
-            group_reps = tuple(
-                encoder.encode(table.values[:, list(g.indices)], scope="group")
-                for g in partition.groups
+            group_reps = np.stack(
+                [encoder.encode(table.values[:, list(g.indices)], scope="group") for g in partition.groups]
             )
             state1 = compose_state("group1", [rep_f])
             if pending["g1"] is not None:

@@ -29,7 +29,7 @@ from featforge.operators import (
     expr_to_string,
 )
 from featforge.pipeline import PipelineConfig, run_grfg, run_rdg_baseline
-from featforge.state_rep import AutoencoderEncoder, EncoderConfig, GraphAutoencoderEncoder, StateVector
+from featforge.state_rep import AutoencoderEncoder, EncoderConfig, GraphAutoencoderEncoder
 
 
 # --------------------------------------------------------------------------
@@ -194,10 +194,6 @@ def test_criterion_3_neural_substrate():
 # --------------------------------------------------------------------------
 
 
-def _sv(*values):
-    return StateVector(values=np.array(values, dtype=float))
-
-
 def _linear_net(weights, bias=0.0):
     net = init_net((len(weights), 1), seed=0)
     net.weights[0][:, 0] = np.asarray(weights, dtype=float)
@@ -208,13 +204,13 @@ def _linear_net(weights, bias=0.0):
 def _fixed_transition(reward=1.0, action_index=0):
     from featforge.agents import Transition
 
-    cands = (_sv(1.0, 0.0), _sv(0.0, 1.0))
+    cands = np.array([[1.0, 0.0], [0.0, 1.0]])
     return Transition(
-        state=_sv(0.5),
+        state=np.array([0.5]),
         action_index=action_index,
         candidates=cands,
         reward=reward,
-        next_state=_sv(-0.5),
+        next_state=np.array([-0.5]),
         next_candidates=cands,
     )
 

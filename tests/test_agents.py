@@ -22,15 +22,19 @@ from featforge.agents import (
     select_epsilon_greedy,
 )
 from featforge.nnet import AdamState, adam_update, forward, init_net
-from featforge.state_rep import StateVector
 
 
 def sv(*values):
-    return StateVector(values=np.array(values, dtype=float))
+    return np.array(values, dtype=float)
+
+
+def StateVector(values):
+    """A state or candidate row: a 1-D float array (the peak-memory test builds its rows with it)."""
+    return np.asarray(values, dtype=float)
 
 
 def make_transition(reward=1.0, action_index=0):
-    cands = (sv(1.0, 0.0), sv(0.0, 1.0))
+    cands = np.array([[1.0, 0.0], [0.0, 1.0]])
     return Transition(
         state=sv(0.5),
         action_index=action_index,
@@ -157,10 +161,10 @@ class TestTransition:
             Transition(
                 state=sv(0.0),
                 action_index=0,
-                candidates=(sv(1.0),),
+                candidates=np.array([[1.0]]),
                 reward=0.0,
                 next_state=sv(0.0),
-                next_candidates=(),
+                next_candidates=np.empty((0, 1)),
             )
 
     def test_nonfinite_reward(self):
@@ -176,23 +180,23 @@ class TestTransition:
 class TestScoreCandidates:
     def test_single(self):
         net = init_net((3, 4, 1), seed=0)
-        scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0)])
+        scores = q_values(QNets(net), sv(0.1), np.array([[1.0, 0.0]]))
         assert scores.shape == (1,)
 
     def test_identical_candidates_identical_scores(self):
         net = init_net((3, 4, 1), seed=1)
-        scores = q_values(QNets(net), sv(0.1), [sv(1.0, 0.0), sv(1.0, 0.0)])
+        scores = q_values(QNets(net), sv(0.1), np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert scores[0] == scores[1]
 
     def test_zero_weights_give_bias(self):
         net = linear_net([0.0, 0.0, 0.0], bias=0.25)
-        scores = q_values(QNets(net), sv(0.3), [sv(1.0, 0.0), sv(0.0, 1.0)])
+        scores = q_values(QNets(net), sv(0.3), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(scores, 0.25)
 
     def test_empty_rejected(self):
         net = init_net((3, 1), seed=0)
         with pytest.raises(ValueError):
-            q_values(QNets(net), sv(0.1), [])
+            q_values(QNets(net), sv(0.1), np.empty((0, 2)))
 
 
 class TestSelectEpsilonGreedy:
@@ -251,7 +255,7 @@ class TestQUpdateVanilla:
         def residual():
             next_q = q_values(nets, t.next_state, t.next_candidates)
             target = t.reward + cfg.gamma * float(next_q.max())
-            out, _ = forward(net, np.concatenate([t.state.values, t.candidates[t.action_index].values]))
+            out, _ = forward(net, np.concatenate([t.state, t.candidates[t.action_index]]))
             return abs(float(out[0]) - target)
 
         initial = residual()
@@ -281,7 +285,7 @@ class TestDuelingDoubleQ:
     def test_advantage_shift_invariance(self):
         online, _ = self.handcrafted_nets()
         state = sv(0.0)
-        cands = (sv(1.0, 0.0), sv(0.0, 1.0))
+        cands = np.array([[1.0, 0.0], [0.0, 1.0]])
         q = q_values(online, state, cands)
         online.a_net.biases[0][0] += 5.0
         q_shift = q_values(online, state, cands)
@@ -332,7 +336,7 @@ class TestDuelingDoubleQ:
         agent = CascadeAgent(1, 2, AgentConfig(kind="ddqn_dueling", batch_size=1, target_sync_every=1))
         agent.observe(make_transition())
         state = sv(0.2)
-        cands = (sv(1.0, 0.0), sv(0.0, 1.0))
+        cands = np.array([[1.0, 0.0], [0.0, 1.0]])
         q_on = q_values(agent.online, state, cands)
         q_tg = q_values(agent.target, state, cands)
         assert np.max(np.abs(q_on - q_tg)) < 1e-12
@@ -344,18 +348,18 @@ def td_batch(seed):
     state_w, cand_w = int(rng.integers(1, 6)), int(rng.integers(1, 5))
 
     def candidates():
-        return tuple(sv(*rng.normal(size=cand_w)) for _ in range(rng.integers(1, 15)))
+        return rng.normal(size=(rng.integers(1, 15), cand_w))
 
     batch = []
     for _ in range(rng.integers(1, 9)):
         cands = candidates()
         batch.append(
             Transition(
-                state=sv(*rng.normal(size=state_w)),
+                state=rng.normal(size=state_w),
                 action_index=int(rng.integers(len(cands))),
                 candidates=cands,
                 reward=float(rng.normal()),
-                next_state=sv(*rng.normal(size=state_w)),
+                next_state=rng.normal(size=state_w),
                 next_candidates=candidates(),
             )
         )
@@ -504,23 +508,37 @@ class TestBatchedTDUpdate:
         assert np.array_equal(joint, np.concatenate([apart.a_net.params, apart.v_net.params]))
 
 
+class TestPairs:
+    """``_pairs`` fills one matrix, row for row the former per-candidate concatenations."""
+
+    def test_matches_per_candidate_rows(self):
+        rng = np.random.default_rng(0)
+        for counts in ((3, 1, 5), (1,), (14, 2), (1, 1, 1, 9)):  # ragged, and one-candidate states
+            states = [rng.normal(size=4) for _ in counts]
+            cand_sets = [rng.normal(size=(k, 3)) for k in counts]
+            expected = np.stack(
+                [agents_reference._cat(s, c) for s, cands in zip(states, cand_sets) for c in cands]
+            )
+            assert np.array_equal(agents._pairs(states, cand_sets), expected)
+
+
 class TestActorCritic:
     def test_select_probabilities(self):
         actor = init_net((3, 4, 1), seed=2)
-        idx, probs = ac_select(actor, sv(0.1), [sv(1.0, 0.0), sv(0.0, 1.0)], np.random.default_rng(0))
+        idx, probs = ac_select(actor, sv(0.1), np.array([[1.0, 0.0], [0.0, 1.0]]), np.random.default_rng(0))
         assert 0 <= idx < 2
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_equal_logits_uniform(self):
         actor = linear_net([0.0, 0.0, 0.0], bias=0.7)
-        cands = [sv(1.0, 0.0), sv(0.0, 1.0), sv(1.0, 1.0), sv(0.5, 0.5)]
+        cands = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
         _, probs = ac_select(actor, sv(0.0), cands, np.random.default_rng(1))
         assert np.allclose(probs, 0.25)
 
     def test_sampling_frequencies(self):
         # logits ln(0.7), ln(0.3) -> pi = (0.7, 0.3)
         actor = linear_net([0.0, np.log(0.7), np.log(0.3)], bias=0.0)
-        cands = [sv(1.0, 0.0), sv(0.0, 1.0)]
+        cands = np.array([[1.0, 0.0], [0.0, 1.0]])
         rng = np.random.default_rng(123)
         draws = 10000
         hits = sum(ac_select(actor, sv(0.0), cands, rng)[0] == 0 for _ in range(draws))
@@ -563,7 +581,7 @@ class TestCascadeAgent:
     def test_select_and_observe(self, kind):
         cfg = AgentConfig(kind=kind, batch_size=2, seed=0)
         agent = CascadeAgent(1, 2, cfg)
-        cands = (sv(1.0, 0.0), sv(0.0, 1.0))
+        cands = np.array([[1.0, 0.0], [0.0, 1.0]])
         idx, prob = agent.select(sv(0.1), cands, epsilon=0.5)
         assert 0 <= idx < 2
         assert 0.0 < prob <= 1.0
@@ -577,7 +595,7 @@ class TestCascadeAgent:
     def test_deterministic_selection_sequence(self):
         def run():
             agent = CascadeAgent(1, 2, AgentConfig(kind="dqn", seed=11))
-            cands = (sv(1.0, 0.0), sv(0.0, 1.0))
+            cands = np.array([[1.0, 0.0], [0.0, 1.0]])
             return [agent.select(sv(0.1 * i), cands, epsilon=0.5)[0] for i in range(20)]
 
         assert run() == run()
@@ -587,6 +605,6 @@ class TestCascadeAgent:
         agent = CascadeAgent(1, 2, cfg)
         for i in range(3):
             agent.observe(make_transition(reward=float(i)))
-        q_on = q_values(agent.online, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
-        q_tg = q_values(agent.target, sv(0.3), (sv(1.0, 0.0), sv(0.0, 1.0)))
+        q_on = q_values(agent.online, sv(0.3), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        q_tg = q_values(agent.target, sv(0.3), np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.max(np.abs(q_on - q_tg)) < 1e-12

@@ -318,6 +318,50 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_abs_deviation"] < 1e-9
 
+    @staticmethod
+    def raw_trace(tmp_path):
+        """A run directory holding the raw four-column table's trace; returns (data path, run dir, verify argv)."""
+        path, d = write_dataset_csv(tmp_path)
+        out = str(tmp_path / "run")
+        export_trace(BestFeatureSet(table=FeatureTable.from_dataset(d), score=0.0, step=-1), out)
+        argv = ["trace", "--run", out, "--verify", "--data", path, "--target", "y", "--task", "reg"]
+        assert cli_main(argv) == 0
+        return path, out, argv
+
+    def test_trace_verify_row_count_mismatch_data_error(self, tmp_path, capsys):
+        _, _, argv = self.raw_trace(tmp_path)
+        short = str(tmp_path / "short.csv")
+        save_csv(small_dataset(m=50), short, target_column="y")
+        capsys.readouterr()
+        assert cli_main([*argv[:5], short, *argv[6:]]) == 2
+        assert "is 60 rows x 4 columns; --data has 50 rows" in capsys.readouterr().err
+
+    def test_trace_malformed_line_data_error(self, tmp_path, capsys):
+        _, out, argv = self.raw_trace(tmp_path)
+        with open(os.path.join(out, "trace.jsonl"), "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        capsys.readouterr()
+        assert cli_main(argv[:3]) == 2
+        assert "'{not json' is not JSON" in capsys.readouterr().err
+
+    def test_trace_verify_empty_csv_data_error(self, tmp_path, capsys):
+        _, out, argv = self.raw_trace(tmp_path)
+        open(os.path.join(out, "best_features.csv"), "w").close()
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "is 0 rows x 0 columns; --data has 60 rows" in capsys.readouterr().err
+
+    def test_trace_verify_too_few_columns_data_error(self, tmp_path, capsys):
+        _, out, argv = self.raw_trace(tmp_path)
+        csv_path = os.path.join(out, "best_features.csv")
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            lines = [",".join(line.split(",")[:2]) for line in fh.read().splitlines()]
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert "is 60 rows x 2 columns; --data has 60 rows, the trace 4 records" in capsys.readouterr().err
+
     def test_missing_target_usage_error(self, tmp_path):
         path, _ = write_dataset_csv(tmp_path)
         assert cli_main(["run", "--data", path, "--task", "reg"]) == 1

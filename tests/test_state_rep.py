@@ -13,10 +13,7 @@ from featforge.state_rep import (
     EncoderConfig,
     GraphAutoencoderEncoder,
     StateEncoder,
-    StateVector,
-    compose_state,
     rep_ds,
-    rep_operation,
 )
 
 
@@ -25,13 +22,20 @@ def random_features(seed=0, m=50, n=5):
 
 
 class TestStateVector:
+    """A state is a 1-D float array; ``StateEncoder.encode`` rejects a non-finite one."""
+
     def test_finite_required(self):
-        with pytest.raises(ValueError):
-            StateVector(values=np.array([1.0, np.inf]))
+        huge = random_features(m=40, n=4) * 1e200  # the ds std overflows, and so does every network
+        for method in ("ds", "ds+ae", "ds+ae+gae"):
+            for scope, f in (("set", huge), ("group", huge[:, :1])):
+                with np.errstate(all="ignore"), pytest.raises(ValueError, match="state vector must be finite"):
+                    StateEncoder(method).encode(f, scope=scope)
 
     def test_flattened(self):
-        v = StateVector(values=np.ones((2, 3)))
-        assert len(v) == 6
+        for method in StateEncoder.METHODS:
+            enc = StateEncoder(method)
+            v = enc.encode(random_features(m=40, n=4))
+            assert v.shape == (enc.length,) and v.dtype == np.float64
 
 
 class TestRepDs:
@@ -43,14 +47,14 @@ class TestRepDs:
             assert len(rep_ds(random_features(m=m, n=n))) == DS_LENGTH
 
     def test_constant_matrix(self):
-        v = rep_ds(np.full((4, 3), 2.0)).values
+        v = rep_ds(np.full((4, 3), 2.0))
         assert v.min() == 0.0  # std entries vanish everywhere
         assert 4.0 in v        # the count row survives both passes
 
     def test_column_permutation_invariance(self):
         f = random_features(1)
-        a = rep_ds(f).values
-        b = rep_ds(f[:, [3, 0, 4, 1, 2]]).values
+        a = rep_ds(f)
+        b = rep_ds(f[:, [3, 0, 4, 1, 2]])
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_empty_rejected(self):
@@ -60,36 +64,7 @@ class TestRepDs:
     def test_matches_per_column_reference(self):
         """The two array passes give the former per-column, per-stat result, ``==``."""
         for f in encoder_reference.stat_inputs():
-            assert np.array_equal(rep_ds(f).values, encoder_reference.rep_ds(f).values)
-
-
-class TestRepOperation:
-    def test_one_hot(self):
-        v = rep_operation(3, 14)
-        assert len(v) == 14
-        assert v.values[3] == 1.0
-        assert v.values.sum() == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            rep_operation(14, 14)
-
-
-class TestComposeState:
-    def test_arities(self):
-        p = rep_ds(random_features())
-        assert len(compose_state("group1", [p])) == 49
-        assert len(compose_state("operation", [p, p])) == 98
-        assert len(compose_state("group2", [p, p, p])) == 147
-
-    def test_wrong_arity(self):
-        p = rep_ds(random_features())
-        with pytest.raises(ValueError):
-            compose_state("operation", [p])
-
-    def test_unknown_role(self):
-        with pytest.raises(ValueError):
-            compose_state("group3", [rep_ds(random_features())])
+            assert np.array_equal(rep_ds(f), encoder_reference.rep_ds(f))
 
 
 class TestAutoencoder:
@@ -108,8 +83,8 @@ class TestAutoencoder:
 
     def test_deterministic(self):
         f = random_features(5)
-        a = AutoencoderEncoder(EncoderConfig(seed=1)).encode(f).values
-        b = AutoencoderEncoder(EncoderConfig(seed=1)).encode(f).values
+        a = AutoencoderEncoder(EncoderConfig(seed=1)).encode(f)
+        b = AutoencoderEncoder(EncoderConfig(seed=1)).encode(f)
         assert np.array_equal(a, b)
 
     def test_resize_on_width_change(self):
@@ -257,8 +232,8 @@ class TestFitLength:
     @staticmethod
     def one_column_state(gae_dim):
         col = random_features(8, n=1)
-        ds = encoder_reference.rep_ds(col).values
-        return GraphAutoencoderEncoder(EncoderConfig(gae_dim=gae_dim)).encode(col).values, ds
+        ds = encoder_reference.rep_ds(col)
+        return GraphAutoencoderEncoder(EncoderConfig(gae_dim=gae_dim)).encode(col), ds
 
     def test_identity(self):
         v, ds = self.one_column_state(DS_LENGTH)
@@ -283,11 +258,11 @@ class TestFitLength:
         for seed in range(3):
             col = random_features(seed, m=40, n=1)
             expected = np.concatenate([
-                encoder_reference.rep_ds(col).values,
-                ref_ae.encode(col).values,
-                encoder_reference._fit_length(ref_gae.encode(col).values, gae_dim),
+                encoder_reference.rep_ds(col),
+                ref_ae.encode(col),
+                encoder_reference._fit_length(ref_gae.encode(col), gae_dim),
             ])
-            assert np.array_equal(enc.encode(col, scope="group").values, expected)
+            assert np.array_equal(enc.encode(col, scope="group"), expected)
 
 
 class TestExactAdam:
@@ -365,7 +340,7 @@ class TestWarmStart:
         rows = state_rep._subsample_rows(m, cfg) if kind is GraphAutoencoderEncoder else slice(None)
         for seed in range(4):
             f = random_features(seed, m=m, n=n)
-            assert np.array_equal(enc.encode(f).values, ref.encode(f[rows]).values)
+            assert np.array_equal(enc.encode(f), ref.encode(f[rows]))
             assert _equal(_weights(enc), _weights(ref))
             assert _equal(_moments(enc), _moments(ref))
             assert enc._adam.step == ref._adam.step == cfg.train_epochs + seed * cfg.incremental_epochs
@@ -427,9 +402,9 @@ class TestWarmStart:
         if kind is AutoencoderEncoder:
             enc._resize(7)
         _copy_state(enc, ref, f.shape)
-        state = enc.encode(f).values
+        state = enc.encode(f)
         assert enc._adam.step == step + cfg.incremental_epochs
-        assert np.array_equal(state, ref.encode(f).values)
+        assert np.array_equal(state, ref.encode(f))
         assert _equal(_weights(enc), _weights(ref))
         assert _equal(_moments(enc), _moments(ref))
 
@@ -441,7 +416,7 @@ class TestWarmStart:
         enc.encode(random_features(1, m=40, n=6))
         f = random_features(2, m=30, n=6)
         ref = ref_kind(cfg)
-        assert np.array_equal(enc.encode(f).values, ref.encode(f).values)
+        assert np.array_equal(enc.encode(f), ref.encode(f))
         assert enc._adam.step == cfg.train_epochs
         assert _equal(_weights(enc), _weights(ref))
         assert _equal(_moments(enc), _moments(ref))
@@ -480,5 +455,5 @@ class TestWarmStart:
         f[unread] = np.nan  # a row either network read would make its state non-finite
         _, ae, gae = StateEncoder("ds+ae+gae", cfg)._parts("set")
         ref_ae, ref_gae = AutoencoderEncoder(cfg), GraphAutoencoderEncoder(cfg)
-        assert np.array_equal(ae.encode(f).values, ref_ae.encode(f[rows]).values)
-        assert np.array_equal(gae.encode(f).values, ref_gae.encode(f[rows]).values)
+        assert np.array_equal(ae.encode(f), ref_ae.encode(f[rows]))
+        assert np.array_equal(gae.encode(f), ref_gae.encode(f[rows]))
