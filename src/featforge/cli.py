@@ -19,7 +19,7 @@ from dataclasses import MISSING, fields, replace
 import numpy as np
 
 from featforge.data_core import DataError, Task, load_csv, make_split
-from featforge.evaluator import evaluate_predictions, predict_test_side
+from featforge.evaluator import evaluate_predictions, fold_predictions
 from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr, parse_expression
 from featforge.pipeline import TEST_FRACTION, PipelineConfig, run_grfg, run_rdg_baseline
@@ -248,9 +248,9 @@ def _cmd_evaluate(args):
     cfg = _config(args)
     dataset = _load(args)
     split = make_split(dataset, TEST_FRACTION, cfg.seed)
-    pred = predict_test_side(dataset.samples, dataset.target, dataset.task, cfg.model, split)
-    result = evaluate_predictions(pred, dataset.target[split.test_indices], dataset.task)
-    print(json.dumps({"primary_metric": result.primary_metric, "auxiliary": result.auxiliary}, indent=2))
+    fold = (split.train_indices, split.test_indices)
+    pred = fold_predictions(dataset.samples, dataset.target, dataset.task, cfg.model, [fold])[0]
+    print(json.dumps(evaluate_predictions(pred, dataset.target[split.test_indices], dataset.task), indent=2))
     return 0
 
 
@@ -271,13 +271,19 @@ def _cmd_trace(args):
         with open(csv_path, encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])  # an empty file has no header row
-            cols = np.array([[float(v) for v in row] for row in reader])
+            try:
+                cols = np.array([[float(v) for v in row] for row in reader])
+            except ValueError as exc:
+                raise DataError(f"{csv_path}: {exc}") from exc
         if len(cols) != dataset.n_rows or len(header) < len(records):
             want = f"--data has {dataset.n_rows} rows, the trace {len(records)} records"
             raise DataError(f"{csv_path} is {len(cols)} rows x {len(header)} columns; {want}")
         worst = 0.0
         for j, rec in enumerate(records):
-            expr = parse_expression(rec["expression"])
+            try:
+                expr = parse_expression(rec["expression"])
+            except ValueError as exc:
+                raise DataError(f"{trace_path}: {exc}") from exc
             values = evaluate_expr(expr, dataset)
             worst = max(worst, float(np.max(np.abs(values - cols[:, j]))))
         print(json.dumps({"records": records, "max_abs_deviation": worst}, indent=2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """A single train/test split, optionally accompanied by CV folds."""
+    """A single train/test split."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
     seed: int
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=())
 
 
 def load_csv(path, target_column: str, task: Task) -> Dataset:
@@ -183,8 +182,8 @@ def make_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
     return SplitPlan(train_indices=train_idx, test_indices=test_idx, seed=seed)
 
 
-def make_folds(d: Dataset, k: int, seed: int) -> SplitPlan:
-    """k disjoint test folds covering all rows; stratified for classification."""
+def make_folds(d: Dataset, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """k (train, test) folds whose disjoint test sides cover all rows; stratified for classification."""
     m = d.n_rows
     if k < 2:
         raise DataError("k must be >= 2")
@@ -197,14 +196,4 @@ def make_folds(d: Dataset, k: int, seed: int) -> SplitPlan:
         perm = rng.permutation(m)
         fold_of = np.empty(m, dtype=int)
         fold_of[perm] = np.arange(m) % k
-    folds = []
-    for f in range(k):
-        test = np.flatnonzero(fold_of == f)
-        train = np.flatnonzero(fold_of != f)
-        folds.append((train, test))
-    return SplitPlan(
-        train_indices=folds[0][0],
-        test_indices=folds[0][1],
-        seed=seed,
-        folds=tuple(folds),
-    )
+    return tuple((np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k))

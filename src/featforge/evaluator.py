@@ -4,9 +4,14 @@ Random forest (CART trees built from scratch) for classification/regression
 and a KNN mean-distance anomaly scorer.  The headline metric is macro-F1 /
 1-RAE / ROC-AUC depending on the task.
 
+Every (train, test) split is scored through ``fold_predictions``: V_A's one
+split, the final CV's folds and the ``evaluate`` command's split. For the
+forest tasks it makes one fit over all rows that grows one forest per fold's
+train rows; for outlier detection it scores each fold's test rows by KNN
+against its train rows.
+
 The forest grows all its trees together in the calling process, one depth at
-a time, into flat node arrays; one fit may grow a forest per set of rows, as
-the final CV does for its folds. Each depth runs one exact split search over
+a time, into flat node arrays. Each depth runs one exact split search over
 every splittable node of every tree, batched by node size, in scratch buffers
 that the fit reuses from batch to batch. Predict steps all rows through all
 trees at once.
@@ -33,12 +38,6 @@ class ModelSpec:
     def __post_init__(self):
         if min(self.n_trees, self.max_depth, self.min_samples_leaf) < 1:
             raise ValueError("hyperparameters must be positive")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    primary_metric: float
-    auxiliary: dict
 
 
 # ---------------------------------------------------------------- CART trees
@@ -432,22 +431,22 @@ def metric_auc(scores, truth) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def evaluate_predictions(pred_or_scores, truth, task: Task) -> EvalResult:
-    """Full metric bundle for a task; primary metric per the task kind."""
+def evaluate_predictions(pred_or_scores, truth, task: Task) -> dict:
+    """Full metric bundle for a task: ``{"primary_metric", "auxiliary"}``, the primary metric per the task kind."""
     if task is Task.CLASSIFICATION:
         pred = np.asarray(pred_or_scores)
         truth_i = np.asarray(truth, dtype=int)
         f1s, precs, recs = _per_class_scores(pred, truth_i)
         f1 = float(np.mean(f1s))
-        return EvalResult(
-            primary_metric=f1,
-            auxiliary={
+        return {
+            "primary_metric": f1,
+            "auxiliary": {
                 "f1_macro": f1,
                 "precision_macro": float(np.mean(precs)),
                 "recall_macro": float(np.mean(recs)),
                 "accuracy": float(np.mean(pred == truth_i)),
             },
-        )
+        }
     if task is Task.REGRESSION:
         pred = np.asarray(pred_or_scores, dtype=float)
         truth_f = np.asarray(truth, dtype=float)
@@ -456,16 +455,16 @@ def evaluate_predictions(pred_or_scores, truth, task: Task) -> EvalResult:
         rmse = float(np.sqrt(np.mean((pred - truth_f) ** 2)))
         denom_mae = float(np.mean(np.abs(truth_f - truth_f.mean())))
         denom_rmse = float(np.sqrt(np.mean((truth_f - truth_f.mean()) ** 2)))
-        return EvalResult(
-            primary_metric=one_rae,
-            auxiliary={
+        return {
+            "primary_metric": one_rae,
+            "auxiliary": {
                 "1-RAE": one_rae,
                 "1-MAE": 1.0 - mae / denom_mae if denom_mae > 0 else 0.0,
                 "1-RMSE": 1.0 - rmse / denom_rmse if denom_rmse > 0 else 0.0,
             },
-        )
+        }
     auc = metric_auc(pred_or_scores, truth)
-    return EvalResult(primary_metric=auc, auxiliary={"roc_auc": auc})
+    return {"primary_metric": auc, "auxiliary": {"roc_auc": auc}}
 
 
 _PRIMARY_METRIC = {
@@ -475,26 +474,29 @@ _PRIMARY_METRIC = {
 }
 
 
-def predict_test_side(features, target, task: Task, spec: ModelSpec, split: SplitPlan) -> np.ndarray:
-    """Fit the task model on the train side; its predictions for the test side.
+def fold_predictions(features, target, task: Task, spec: ModelSpec, folds) -> list[np.ndarray]:
+    """The task model's predictions for the test side of each (train, test) fold, fit on its train side.
 
-    Classification and regression return random-forest predictions, outlier
-    detection returns KNN anomaly scores.
+    Classification and regression return random-forest predictions, from one
+    fit that grows every fold's forest; outlier detection returns KNN anomaly
+    scores.
     """
     features = np.asarray(features, dtype=float)
     target = np.asarray(target, dtype=float)
-    tr = split.train_indices
-    te = split.test_indices
-    if len(tr) == 0 or len(te) == 0:
+    if any(len(train) == 0 or len(test) == 0 for train, test in folds):
         raise ValueError("degenerate split")
     if task is Task.OUTLIER_DETECTION:
-        return knn_anomaly_scores(features[tr], features[te], k=min(KNN_K, len(tr) - 1))
-    model = train_random_forest(features[tr], target[tr], spec, classification=task is Task.CLASSIFICATION)
-    return model.predict(features[te])
+        return [knn_anomaly_scores(features[tr], features[te], k=min(KNN_K, len(tr) - 1)) for tr, te in folds]
+    model = train_random_forest(features, target, spec, task is Task.CLASSIFICATION, [tr for tr, _ in folds])
+    return [model.predict(features[te], f) for f, (_, te) in enumerate(folds)]
 
 
-def _reward(pred, truth, task: Task) -> float:
-    """V_A of the predictions ``pred`` for ``truth``, as `downstream_performance` scores them."""
+def reward(pred, truth, task: Task) -> float:
+    """V_A of the predictions ``pred`` for ``truth``: the task's primary metric.
+
+    Regression clamps negative 1-RAE to 0 so the reward scale stays
+    commensurate with utility deltas.
+    """
     score = _PRIMARY_METRIC[task](pred, truth)
     return max(0.0, score) if task is Task.REGRESSION else score
 
@@ -502,19 +504,7 @@ def _reward(pred, truth, task: Task) -> float:
 def downstream_performance(
     features, target, task: Task, spec: ModelSpec, split: SplitPlan
 ) -> float:
-    """Search-time reward V_A: primary metric of the task model on the test side.
-
-    Regression clamps negative 1-RAE to 0 so the reward scale stays
-    commensurate with utility deltas.
-    """
-    pred = predict_test_side(features, target, task, spec, split)
-    return _reward(pred, np.asarray(target, dtype=float)[split.test_indices], task)
-
-
-def forest_fold_scores(features, target, task: Task, spec: ModelSpec, folds) -> list[float]:
-    """``downstream_performance`` of a forest task on each (train, test) fold, from one fit of all their forests."""
-    features = np.asarray(features, dtype=float)
-    target = np.asarray(target, dtype=float)
-    bases = [train for train, _ in folds]
-    model = train_random_forest(features, target, spec, task is Task.CLASSIFICATION, bases)
-    return [_reward(model.predict(features[test], f), target[test], task) for f, (_, test) in enumerate(folds)]
+    """Search-time reward V_A: ``reward`` of the task model on the test side of ``split``."""
+    fold = (split.train_indices, split.test_indices)
+    pred = fold_predictions(features, target, task, spec, [fold])[0]
+    return reward(pred, np.asarray(target, dtype=float)[split.test_indices], task)

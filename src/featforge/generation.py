@@ -100,12 +100,12 @@ def cross_binary_topk(
     cfg: GenerationConfig = GenerationConfig(),
     rng: np.random.Generator | None = None,
 ) -> list[tuple[FeatureExpr, np.ndarray]]:
-    """Apply a binary op to the K least-|cosine|-similar cross-group pairs."""
+    """Apply a binary op to the K least-|cosine|-similar cross-group pairs; none if the groups have no pair."""
     if not op.is_binary:
         raise ValueError(f"{op} is not binary")
     pairs = _candidate_pairs(c1, c2)
     if not pairs:
-        raise ValueError("no valid feature pairs between the two groups")
+        return []
     k = cfg.top_k_pairs
     if k == "auto":
         k = min(len(c1), len(c2), 8)

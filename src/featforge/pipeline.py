@@ -20,8 +20,8 @@ from functools import partial
 import numpy as np
 
 from featforge.agents import AgentConfig, CascadeAgent, Transition, compute_rewards, epsilon_at
-from featforge.data_core import Dataset, SplitPlan, Task, make_folds, make_split
-from featforge.evaluator import ModelSpec, downstream_performance, forest_fold_scores
+from featforge.data_core import Dataset, make_folds, make_split
+from featforge.evaluator import ModelSpec, downstream_performance, fold_predictions, reward
 from featforge.generation import (
     FeatureTable,
     GenerationConfig,
@@ -159,10 +159,7 @@ class _CascadePolicy:
         c1, op, c2 = partition.groups[i1], ALL_OPERATIONS[i_op], partition.groups[i2]
 
         if op.is_binary:
-            try:
-                generated = cross_binary_topk(op, c1, c2, table, cfg.generation, self.gen_rng)
-            except ValueError:
-                generated = []
+            generated = cross_binary_topk(op, c1, c2, table, cfg.generation, self.gen_rng)
         else:
             generated = generate_unary(op, c1, c2, table, self.y, cfg.generation, rng=self.gen_rng, mi=self.mi)
         return c1, op, c2, generated
@@ -191,8 +188,6 @@ class _RandomPolicy:
         c1, c2 = FeatureGroup((i,)), FeatureGroup((j,))
         if not op.is_binary:
             generated = generate_unary(op, c1, c1, table, self.y, rng=rng, mi=self.mi)
-        elif i == j:
-            generated = []
         else:
             generated = cross_binary_topk(op, c1, c2, table, GenerationConfig(top_k_pairs=1), rng)
         return c1, op, c2, generated
@@ -276,21 +271,20 @@ def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cf
     report.best_step = best.step
     report.best_feature_names = list(best.table.names)
     k = min(FINAL_CV_FOLDS, dataset.n_rows)
-    if k >= 2:
-        folds = make_folds(dataset, k, seed=cfg.seed).folds
-        values, target, task = best.table.values, dataset.target, dataset.task
-        if task is not Task.OUTLIER_DETECTION:
-            scores = forest_fold_scores(values, target, task, cfg.model, folds)
-        else:
-            scores = []
-            for train, test in folds:
-                fold_split = SplitPlan(train_indices=train, test_indices=test, seed=cfg.seed)
-                try:
-                    scores.append(downstream_performance(values, target, task, cfg.model, fold_split))
-                except ValueError:
-                    continue
-        if scores:
-            report.final_cv_score = float(np.mean(scores))
+    if k < 2:
+        return
+    target, task = dataset.target, dataset.task
+    folds = []
+    for train, test in make_folds(dataset, k, seed=cfg.seed):
+        try:  # a fold whose test side has no score, such as one class under ROC-AUC, is left out
+            reward(target[test], target[test], task)
+        except ValueError:
+            continue
+        folds.append((train, test))
+    preds = fold_predictions(best.table.values, target, task, cfg.model, folds)
+    scores = [reward(pred, target[test], task) for pred, (_, test) in zip(preds, folds)]
+    if scores:
+        report.final_cv_score = float(np.mean(scores))
 
 
 def export_trace(best: BestFeatureSet, out_dir: str) -> tuple[str, str]:

@@ -6,7 +6,9 @@ separate cascading-agent loop and random-baseline loop, kept verbatim.
 to give the same reports, best tables and output files.
 
 ``_finish_report`` is the final CV as it was before one fit grew every fold's
-forest: one ``downstream_performance`` call per fold.
+forest: one ``downstream_performance`` call per fold.  Every score here comes
+from ``evaluator_reference``, the scorer that slices a split's train rows and
+fits on them alone.
 
 ``rep_operation`` and ``compose_state`` are the former ``state_rep`` functions,
 verbatim but for their container: they return a plain float array where they
@@ -17,10 +19,10 @@ candidate, as the agents take them.
 from __future__ import annotations
 
 import numpy as np
+from evaluator_reference import downstream_performance
 
 from featforge.agents import AgentConfig, CascadeAgent, Transition, compute_rewards, epsilon_at
 from featforge.data_core import Dataset, SplitPlan, make_folds, make_split
-from featforge.evaluator import downstream_performance
 from featforge.generation import (
     FeatureTable,
     GenerationConfig,
@@ -308,9 +310,8 @@ def _finish_report(report: RunReport, best: BestFeatureSet, dataset: Dataset, cf
     report.best_feature_names = list(best.table.names)
     k = min(FINAL_CV_FOLDS, dataset.n_rows)
     if k >= 2:
-        plan = make_folds(dataset, k, seed=cfg.seed)
         scores = []
-        for train, test in plan.folds:
+        for train, test in make_folds(dataset, k, seed=cfg.seed):
             fold_split = SplitPlan(train_indices=train, test_indices=test, seed=cfg.seed)
             try:
                 scores.append(

@@ -146,22 +146,21 @@ class TestMakeSplit:
 class TestMakeFolds:
     def test_five_folds_of_two(self):
         d = _dataset(10, classification=False)
-        plan = make_folds(d, 5, seed=0)
-        assert len(plan.folds) == 5
-        for _, test in plan.folds:
+        folds = make_folds(d, 5, seed=0)
+        assert len(folds) == 5
+        for _, test in folds:
             assert len(test) == 2
 
     def test_partition_property(self):
         d = _dataset(13)
-        plan = make_folds(d, 4, seed=9)
-        all_test = np.sort(np.concatenate([t for _, t in plan.folds]))
+        folds = make_folds(d, 4, seed=9)
+        all_test = np.sort(np.concatenate([t for _, t in folds]))
         assert np.array_equal(all_test, np.arange(13))
 
     def test_stratification_bound(self):
         target = np.array([0] * 12 + [1] * 8, dtype=float)
         d = _dataset(20, target=target)
-        plan = make_folds(d, 5, seed=4)
-        for _, test in plan.folds:
+        for _, test in make_folds(d, 5, seed=4):
             for cls, global_frac in ((0, 0.6), (1, 0.4)):
                 frac = np.mean(target[test] == cls)
                 assert abs(frac - global_frac) <= 1.0 / len(test) + 1e-12
@@ -170,7 +169,7 @@ class TestMakeFolds:
         d = _dataset(10)
         a = make_folds(d, 5, seed=11)
         b = make_folds(d, 5, seed=11)
-        for (ta, sa), (tb, sb) in zip(a.folds, b.folds):
+        for (ta, sa), (tb, sb) in zip(a, b):
             assert np.array_equal(ta, tb)
             assert np.array_equal(sa, sb)
 

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import evaluator_reference
 import forest_reference
 import knn_reference
 import numpy as np
@@ -21,6 +22,7 @@ from featforge.evaluator import (
     RandomForest,
     downstream_performance,
     evaluate_predictions,
+    fold_predictions,
     knn_anomaly_scores,
     metric_1rae,
     metric_auc,
@@ -503,7 +505,7 @@ class TestKnn:
                 knn_anomaly_scores(np.ones((1, 2)), np.zeros((3, 2)), k=k)
         split = SplitPlan(train_indices=np.array([0]), test_indices=np.array([1, 2]), seed=0)
         with pytest.raises(ValueError, match="1 <= k < train rows"):
-            evaluator.predict_test_side(
+            downstream_performance(
                 np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 0.0]), Task.OUTLIER_DETECTION, ModelSpec(), split
             )
 
@@ -651,20 +653,20 @@ class TestEvaluatePredictions:
         truth = np.array([0, 1, 1, 0])
         pred = np.array([0, 1, 0, 0])
         res = evaluate_predictions(pred, truth, Task.CLASSIFICATION)
-        assert res.primary_metric == metric_f1(pred, truth)
-        assert res.auxiliary["accuracy"] == 0.75
+        assert res["primary_metric"] == metric_f1(pred, truth)
+        assert res["auxiliary"]["accuracy"] == 0.75
         # class 0: precision 2/3, recall 1; class 1: precision 1, recall 1/2
-        assert res.auxiliary["precision_macro"] == pytest.approx(5 / 6, abs=1e-15)
-        assert res.auxiliary["recall_macro"] == 0.75
+        assert res["auxiliary"]["precision_macro"] == pytest.approx(5 / 6, abs=1e-15)
+        assert res["auxiliary"]["recall_macro"] == 0.75
 
     def test_regression_bundle(self):
         truth = np.array([1.0, 2.0, 3.0])
         res = evaluate_predictions(truth, truth, Task.REGRESSION)
-        assert res.primary_metric == 1.0
+        assert res["primary_metric"] == 1.0
 
     def test_outlier_bundle(self):
         res = evaluate_predictions([0.1, 0.9], [0, 1], Task.OUTLIER_DETECTION)
-        assert res.primary_metric == 1.0
+        assert res == {"primary_metric": 1.0, "auxiliary": {"roc_auc": 1.0}}
 
 
 class TestDownstreamPerformance:
@@ -735,3 +737,62 @@ class TestDownstreamPerformance:
                 ModelSpec(),
                 SplitPlan(train_indices=np.arange(4), test_indices=np.array([], dtype=int), seed=0),
             )
+
+
+def scorer_case(rng, task: Task):
+    """Features with tied and constant columns, a target of ``task`` and random folds.
+
+    A classification target has 2 to 16 classes, and one class, often the
+    top one, is seen only on the first fold's test side.
+    """
+    m = int(rng.integers(12, 121))
+    n = int(rng.integers(1, 9))
+    X = np.round(rng.normal(size=(m, n)), int(rng.integers(0, 3)))
+    X[:, rng.integers(n)] = -0.5
+    folds = [(train, np.setdiff1d(np.arange(m), train)) for train in fold_bases(rng, m, int(rng.integers(2, 6)))]
+    if task is Task.CLASSIFICATION:
+        n_classes = int(rng.integers(2, 17))
+        y = rng.integers(0, n_classes - 1, size=m).astype(float)
+        hidden = n_classes - 1 if rng.random() < 0.7 else int(rng.integers(n_classes - 1))
+        y[y == hidden] = (hidden + 1) % n_classes
+        y[rng.choice(folds[0][1], size=min(2, len(folds[0][1])), replace=False)] = hidden
+    elif task is Task.REGRESSION:
+        y = np.round(X[:, 0] * rng.normal() + rng.normal(size=m), 1)
+    else:
+        y = (rng.random(m) < 0.2).astype(float)
+    spec = ModelSpec(
+        n_trees=int(rng.integers(1, 6)),
+        max_depth=int(rng.integers(1, 9)),
+        min_samples_leaf=int(rng.integers(1, 4)),
+        seed=int(rng.integers(100)),
+    )
+    return X, y, folds, spec
+
+
+class TestFoldPredictions:
+    """One fit over all rows predicts each fold as the former slice-then-fit scorer did, ``==``."""
+
+    @pytest.mark.parametrize("task", list(Task))
+    def test_matches_slice_then_fit(self, task):
+        rng = np.random.default_rng(list(Task).index(task))
+        classes_seen = set()
+        for _ in range(40):
+            X, y, folds, spec = scorer_case(rng, task)
+            preds = fold_predictions(X, y, task, spec, folds)
+            assert len(preds) == len(folds)
+            for pred, (train, test) in zip(preds, folds):
+                split = SplitPlan(train_indices=train, test_indices=test, seed=0)
+                assert np.array_equal(pred, evaluator_reference.predict_test_side(X, y, task, spec, split))
+            train, test = folds[0]
+            split = SplitPlan(train_indices=train, test_indices=test, seed=0)
+            if task is Task.CLASSIFICATION:
+                assert set(y[test]) - set(y[train])  # a class seen only on the test side
+                classes_seen.add(int(y.max()) + 1)
+            if len(set(y[test])) == 1 and task is Task.OUTLIER_DETECTION:
+                with pytest.raises(ValueError, match="single-class"):
+                    downstream_performance(X, y, task, spec, split)
+                continue
+            got = downstream_performance(X, y, task, spec, split)
+            assert got == evaluator_reference.downstream_performance(X, y, task, spec, split)
+        if task is Task.CLASSIFICATION:
+            assert max(classes_seen) >= 8

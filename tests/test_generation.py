@@ -75,11 +75,14 @@ class TestCrossBinaryTopk:
         assert len(out) == 1
         assert expr_to_string(out[0][0]) == "(f0*f1)"
 
-    def test_same_singleton_raises(self):
+    def test_same_singleton_generates_nothing(self):
+        """The same singleton twice has no pair: nothing is generated and no random value drawn."""
         t, _ = random_table()
         g = FeatureGroup((0,))
-        with pytest.raises(ValueError):
-            cross_binary_topk(OperationKind.PLUS, g, g, t)
+        for cfg in (GenerationConfig(), GenerationConfig(random_binary=True)):
+            rng = np.random.default_rng(5)
+            assert cross_binary_topk(OperationKind.PLUS, g, g, t, cfg, rng) == []
+            assert rng.random() == np.random.default_rng(5).random()
 
     def test_auto_k(self):
         t, _ = random_table(n=4)

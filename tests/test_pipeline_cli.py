@@ -2,16 +2,17 @@ import json
 import os
 from operator import attrgetter
 
+import evaluator_reference
 import numpy as np
 import pipeline_reference
 import pytest
 from csv_writer import save_csv
 
-from featforge import cli
+from featforge import cli, evaluator
 from featforge.agents import AgentConfig
 from featforge.cli import cli_main
 from featforge.data_core import Dataset, Task, load_csv, make_folds, make_split
-from featforge.evaluator import ModelSpec, downstream_performance, evaluate_predictions, predict_test_side
+from featforge.evaluator import ModelSpec, downstream_performance, evaluate_predictions
 from featforge.generation import FeatureTable, GenerationConfig
 from featforge.grouping import m_cluster
 from featforge.operators import evaluate_expr, parse_expression
@@ -281,7 +282,7 @@ class TestCli:
         assert payload["primary_metric"] == expected
 
     def test_evaluate_reads_model_keys(self, tmp_path, capsys):
-        """``model.*`` keys reach the scoring model, as ``predict_test_side`` with that spec scores."""
+        """``model.*`` keys reach the scoring model, as the slice-then-fit scorer with that spec scores."""
         path, _ = write_dataset_csv(tmp_path, task=Task.CLASSIFICATION, seed=4)
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("model.n_trees=1\n")
@@ -292,9 +293,8 @@ class TestCli:
         one_tree = json.loads(capsys.readouterr().out)
         d = load_csv(path, "y", Task.CLASSIFICATION)
         split = make_split(d, 0.2, 3)
-        pred = predict_test_side(d.samples, d.target, d.task, ModelSpec(n_trees=1, seed=3), split)
+        pred = evaluator_reference.predict_test_side(d.samples, d.target, d.task, ModelSpec(n_trees=1, seed=3), split)
         expected = evaluate_predictions(pred, d.target[split.test_indices], d.task)
-        expected = {"primary_metric": expected.primary_metric, "auxiliary": expected.auxiliary}
         assert one_tree == json.loads(json.dumps(expected))
         assert one_tree != default
 
@@ -361,6 +361,30 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(argv) == 2
         assert "is 60 rows x 2 columns; --data has 60 rows, the trace 4 records" in capsys.readouterr().err
+
+    def test_trace_verify_non_numeric_cell_data_error(self, tmp_path, capsys):
+        _, out, argv = self.raw_trace(tmp_path)
+        csv_path = os.path.join(out, "best_features.csv")
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+        lines[3] = "abc," + lines[3].split(",", 1)[1]
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert f"{csv_path}: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+    def test_trace_verify_unparsable_expression_data_error(self, tmp_path, capsys):
+        _, out, argv = self.raw_trace(tmp_path)
+        trace_path = os.path.join(out, "trace.jsonl")
+        with open(trace_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        records[1]["expression"] = "(f1 +"
+        with open(trace_path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert f"{trace_path}: unbalanced parentheses in '(f1 +'" in capsys.readouterr().err
 
     def test_missing_target_usage_error(self, tmp_path):
         path, _ = write_dataset_csv(tmp_path)
@@ -669,7 +693,7 @@ def _top_class_alone(n_classes: int, seed: int, m: int = 90) -> Dataset:
 
 
 class TestFinalCv:
-    """The final CV, from one fit that grows every fold's forest, scores as the per-fold loop did."""
+    """The final CV, from one ``fold_predictions`` call, scores as the per-fold loop did."""
 
     # (data, seed): regression, and classification where the fold that tests
     # the top class's one row fits without it. With 8 or 16 classes numpy sums
@@ -684,17 +708,50 @@ class TestFinalCv:
             (_top_class_alone(8, seed=26), 5),
             (_top_class_alone(16, seed=32), 0),
             (_top_class_alone(16, seed=34), 5),
+            (small_dataset(seed=0, m=40, task=Task.OUTLIER_DETECTION), 0),
+            (small_dataset(seed=3, m=40, task=Task.OUTLIER_DETECTION), 3),
         ],
-        ids=["regression", "3 classes", "8 classes", "8 classes, seed 5", "16 classes", "16 classes, seed 5"],
+        ids=[
+            "regression", "3 classes", "8 classes", "8 classes, seed 5", "16 classes", "16 classes, seed 5",
+            "outlier", "outlier, seed 3",
+        ],
     )
     def test_matches_per_fold_loop(self, data, seed):
         cfg = tiny_config(seed=seed, model=ModelSpec(n_trees=4, min_samples_leaf=1, seed=seed))
         if data.task is Task.CLASSIFICATION:
             top = data.target.max()
-            assert sum(data.target[train].max() < top for train, _ in make_folds(data, 5, seed).folds) == 1
+            assert sum(data.target[train].max() < top for train, _ in make_folds(data, 5, seed)) == 1
+        if data.task is Task.OUTLIER_DETECTION:
+            # some folds test one class only, which ROC-AUC cannot score: they are skipped
+            one_class = [len(set(data.target[test])) == 1 for _, test in make_folds(data, 5, seed)]
+            assert any(one_class) and not all(one_class)
         best = BestFeatureSet(table=FeatureTable.from_dataset(data), score=0.0, step=0)
         got, want = RunReport(method="grfg"), RunReport(method="grfg")
         _finish_report(got, best, data, cfg)
         pipeline_reference._finish_report(want, best, data, cfg)
         assert got.final_cv_score is not None
         assert got.final_cv_score == want.final_cv_score
+
+    def test_two_row_outlier_has_no_score(self):
+        data = Dataset(
+            samples=np.array([[0.0, 1.0], [2.0, 5.0]]),
+            feature_names=("a", "b"),
+            target=np.array([0.0, 1.0]),
+            task=Task.OUTLIER_DETECTION,
+        )
+        best = BestFeatureSet(table=FeatureTable.from_dataset(data), score=0.0, step=0)
+        got, want = RunReport(method="grfg"), RunReport(method="grfg")
+        _finish_report(got, best, data, tiny_config())
+        pipeline_reference._finish_report(want, best, data, tiny_config())
+        assert got.final_cv_score is None
+        assert want.final_cv_score is None
+
+    def test_forest_fit_error_propagates(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(evaluator, "train_random_forest", fail)
+        data = small_dataset(seed=1, m=30)
+        best = BestFeatureSet(table=FeatureTable.from_dataset(data), score=0.0, step=0)
+        with pytest.raises(ValueError, match="fit failed"):
+            _finish_report(RunReport(method="grfg"), best, data, tiny_config())
