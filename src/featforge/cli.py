@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -171,7 +171,7 @@ def _config(args) -> PipelineConfig:
     """The command's settings: the --config file's keys, FEATFORGE_SEED when no
     seed is given, explicit flags over both and dataclass defaults for the rest.
 
-    The model's seed is the run's seed. Any bad value is a usage error.
+    Any bad value is a usage error.
     """
     try:
         values = read_config_file(args.config) if args.config else {}
@@ -190,12 +190,11 @@ def _config(args) -> PipelineConfig:
         for key, value in values.items():
             section, name, _ = CONFIG_KEYS[key]
             (sections[section] if section else top)[name] = value
-        cfg = PipelineConfig(
+        return PipelineConfig(
             **top,
             **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()},
             out_dir=getattr(args, "out", None),
         )
-        return replace(cfg, model=replace(cfg.model, seed=cfg.seed))
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -1,5 +1,8 @@
 """Dataset loading, validation, encoding and train/test splitting.
 
+``make_split`` and ``make_folds`` stratify by one label per row: the class
+for classification, one shared label (a plain permutation) for other tasks.
+
 A :class:`Dataset` owns the ground-truth sample matrix that every generated
 feature is evaluated against.  It is immutable after construction and safe to
 share across threads.
@@ -130,15 +133,20 @@ def load_csv(path, target_column: str, task: Task) -> Dataset:
     return Dataset(samples=samples, feature_names=names, target=target, task=task)
 
 
-def _stratified_assignment(target: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Assign each row a fold id 0..k-1 with per-class proportions preserved."""
-    m = len(target)
+def _labels(d: Dataset) -> np.ndarray:
+    """The labels splits and folds stratify by: the classes, or one shared label for other tasks."""
+    return d.target if d.task is Task.CLASSIFICATION else np.zeros(d.n_rows)
+
+
+def _stratified_assignment(labels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Assign each row a fold id 0..k-1 with per-label proportions preserved."""
+    m = len(labels)
     fold_of = np.empty(m, dtype=int)
     offset = 0
-    for cls in np.unique(target):
-        idx = np.flatnonzero(target == cls)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
         idx = rng.permutation(idx)
-        # round-robin over folds, rotating the starting fold per class so small
+        # round-robin over folds, rotating the starting fold per label so small
         # classes do not all land in fold 0
         fold_of[idx] = (np.arange(len(idx)) + offset) % k
         offset += len(idx)
@@ -146,34 +154,26 @@ def _stratified_assignment(target: np.ndarray, k: int, rng: np.random.Generator)
 
 
 def make_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
-    """One deterministic train/test split; stratified for classification."""
+    """One deterministic train/test split that keeps each label's share of rows (see _labels)."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must be in (0, 1)")
     m = d.n_rows
     n_test = int(round(m * test_fraction))
     n_test = min(max(n_test, 1), m - 1)
     rng = np.random.default_rng(seed)
-    if d.task is Task.CLASSIFICATION:
-        # proportional per-class quotas (largest-remainder rounding); a class
-        # with a single sample always stays in train
-        classes = list(np.unique(d.target))
-        sizes = {cls: int(np.sum(d.target == cls)) for cls in classes}
-        quotas = {cls: sizes[cls] * n_test / m for cls in classes}
-        take = {cls: int(np.floor(quotas[cls])) for cls in classes}
-        caps = {cls: max(sizes[cls] - 1, 0) for cls in classes}
-        take = {cls: min(take[cls], caps[cls]) for cls in classes}
-        for cls in sorted(classes, key=lambda c: quotas[c] - take[c], reverse=True):
-            if sum(take.values()) >= n_test:
-                break
-            take[cls] = min(take[cls] + 1, caps[cls])
-        test: list[int] = []
-        for cls in classes:
-            idx = rng.permutation(np.flatnonzero(d.target == cls))
-            test.extend(idx[: take[cls]])
-        test_idx = np.sort(np.array(test, dtype=int))
-    else:
-        perm = rng.permutation(m)
-        test_idx = np.sort(perm[:n_test])
+    labels = _labels(d)
+    # proportional per-label quotas (largest-remainder rounding); a label
+    # with a single sample always stays in train
+    classes, sizes = np.unique(labels, return_counts=True)
+    quotas = sizes * n_test / m
+    caps = sizes - 1
+    take = np.minimum(np.floor(quotas).astype(int), caps)
+    for c in sorted(range(len(classes)), key=lambda c: quotas[c] - take[c], reverse=True):
+        if take.sum() >= n_test:
+            break
+        take[c] = min(take[c] + 1, caps[c])
+    test = [rng.permutation(np.flatnonzero(labels == cls))[:t] for cls, t in zip(classes, take)]
+    test_idx = np.sort(np.concatenate(test))
     mask = np.ones(m, dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
@@ -183,17 +183,11 @@ def make_split(d: Dataset, test_fraction: float, seed: int) -> SplitPlan:
 
 
 def make_folds(d: Dataset, k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """k (train, test) folds whose disjoint test sides cover all rows; stratified for classification."""
+    """k (train, test) folds whose disjoint test sides cover all rows, stratified like make_split."""
     m = d.n_rows
     if k < 2:
         raise DataError("k must be >= 2")
     if k > m:
         raise DataError(f"k={k} exceeds row count m={m}")
-    rng = np.random.default_rng(seed)
-    if d.task is Task.CLASSIFICATION:
-        fold_of = _stratified_assignment(d.target, k, rng)
-    else:
-        perm = rng.permutation(m)
-        fold_of = np.empty(m, dtype=int)
-        fold_of[perm] = np.arange(m) % k
+    fold_of = _stratified_assignment(_labels(d), k, np.random.default_rng(seed))
     return tuple((np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k))

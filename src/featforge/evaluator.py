@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from featforge.data_core import SplitPlan, Task
+from featforge.data_core import DataError, SplitPlan, Task
 
 
 @dataclass(frozen=True)
@@ -408,7 +408,7 @@ def metric_1rae(pred, truth) -> float:
 
 
 def metric_auc(scores, truth) -> float:
-    """Mann-Whitney ROC-AUC with average-rank tie correction."""
+    """Mann-Whitney ROC-AUC with average-rank tie correction; one-class truth is a DataError."""
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if len(scores) != len(truth):
@@ -417,7 +417,7 @@ def metric_auc(scores, truth) -> float:
     n_pos = int(pos.sum())
     n_neg = len(truth) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC undefined for single-class truth")
+        raise DataError(f"AUC undefined for single-class truth: the {len(truth)} scored rows hold {n_pos} anomalies")
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
     # each run of tied scores spans sorted positions i..j and shares rank (i+j)/2 + 1

@@ -1,10 +1,12 @@
 """The 14-operation algebra with domain guards and provenance expression trees.
 
-Every generated feature carries a FeatureExpr over original column names, so
-any column in any output can be re-derived from the raw dataset.  Guards keep
-every operation total on finite inputs: log uses ln(|v| + 1e-6), sqrt uses
-sqrt(|v|), denominators are floored at 1e-6 in magnitude, and tangent/exp
-outputs are clipped to +-1e12.
+One table, ``_FUNCTIONS``, holds each operation's formula; ``_BINARY`` names
+the four binary ones and every other operation is unary.  Every generated
+feature carries a FeatureExpr over original column names, so any column in any
+output can be re-derived from the raw dataset.  Guards keep every operation
+total on finite inputs: log uses ln(|v| + 1e-6), sqrt uses sqrt(|v|),
+denominators are floored at 1e-6 in magnitude, and tangent/exp outputs are
+clipped to +-1e12.
 """
 
 from __future__ import annotations
@@ -36,27 +38,13 @@ class OperationKind(enum.Enum):
 
     @property
     def is_unary(self) -> bool:
-        return self in _UNARY
+        return not self.is_binary
 
     @property
     def is_binary(self) -> bool:
         return self in _BINARY
 
 
-_UNARY = frozenset(
-    {
-        OperationKind.SQRT,
-        OperationKind.SQUARE,
-        OperationKind.COSINE,
-        OperationKind.SINE,
-        OperationKind.TANGENT,
-        OperationKind.EXP,
-        OperationKind.CUBE,
-        OperationKind.LOG,
-        OperationKind.RECIPROCAL,
-        OperationKind.SIGMOID,
-    }
-)
 _BINARY = frozenset(
     {
         OperationKind.PLUS,
@@ -68,6 +56,7 @@ _BINARY = frozenset(
 
 # the agents' operation index is the declaration order
 ALL_OPERATIONS: tuple[OperationKind, ...] = tuple(OperationKind)
+_BY_TOKEN = {op.value: op for op in ALL_OPERATIONS}  # each operation by the token expr_to_string renders
 
 COMMUTATIVE = frozenset({OperationKind.PLUS, OperationKind.MULTIPLY})
 
@@ -77,38 +66,41 @@ def _guard_denominator(v: np.ndarray) -> np.ndarray:
     return sign * np.maximum(np.abs(v), GUARD_EPS)
 
 
+# each operation's formula, before _finalize
+_FUNCTIONS = {
+    OperationKind.SQRT: lambda x: np.sqrt(np.abs(x)),
+    OperationKind.SQUARE: lambda x: x * x,
+    OperationKind.COSINE: np.cos,
+    OperationKind.SINE: np.sin,
+    OperationKind.TANGENT: np.tan,
+    OperationKind.EXP: lambda x: np.exp(np.clip(x, -700, 700)),
+    OperationKind.CUBE: lambda x: x * x * x,
+    OperationKind.LOG: lambda x: np.log(np.abs(x) + GUARD_EPS),
+    OperationKind.RECIPROCAL: lambda x: 1.0 / _guard_denominator(x),
+    OperationKind.SIGMOID: lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -700, 700))),
+    OperationKind.PLUS: np.add,
+    OperationKind.SUBTRACT: np.subtract,
+    OperationKind.MULTIPLY: np.multiply,
+    OperationKind.DIVIDE: lambda x, y: x / _guard_denominator(y),
+}
+
+
 def _finalize(v: np.ndarray) -> np.ndarray:
     v = np.nan_to_num(v, nan=0.0, posinf=CLIP_BOUND, neginf=-CLIP_BOUND)
     return np.clip(v, -CLIP_BOUND, CLIP_BOUND)
 
 
+def _apply(op: OperationKind, *operands: np.ndarray) -> np.ndarray:
+    # overflow/invalid intermediates are deliberate: _finalize clips them
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _FUNCTIONS[op](*operands)
+    return _finalize(out)
+
+
 def apply_unary(op: OperationKind, x) -> np.ndarray:
     if not op.is_unary:
         raise ValueError(f"{op} is not a unary operation")
-    x = np.asarray(x, dtype=float)
-    # overflow/invalid intermediates are deliberate: _finalize clips them
-    with np.errstate(over="ignore", invalid="ignore"):
-        if op is OperationKind.SQRT:
-            out = np.sqrt(np.abs(x))
-        elif op is OperationKind.SQUARE:
-            out = x * x
-        elif op is OperationKind.COSINE:
-            out = np.cos(x)
-        elif op is OperationKind.SINE:
-            out = np.sin(x)
-        elif op is OperationKind.TANGENT:
-            out = np.tan(x)
-        elif op is OperationKind.EXP:
-            out = np.exp(np.clip(x, -700, 700))
-        elif op is OperationKind.CUBE:
-            out = x * x * x
-        elif op is OperationKind.LOG:
-            out = np.log(np.abs(x) + GUARD_EPS)
-        elif op is OperationKind.RECIPROCAL:
-            out = 1.0 / _guard_denominator(x)
-        else:  # sigmoid
-            out = 1.0 / (1.0 + np.exp(-np.clip(x, -700, 700)))
-    return _finalize(out)
+    return _apply(op, np.asarray(x, dtype=float))
 
 
 def apply_binary(op: OperationKind, x, y) -> np.ndarray:
@@ -118,16 +110,7 @@ def apply_binary(op: OperationKind, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("operand length mismatch")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if op is OperationKind.PLUS:
-            out = x + y
-        elif op is OperationKind.SUBTRACT:
-            out = x - y
-        elif op is OperationKind.MULTIPLY:
-            out = x * y
-        else:  # divide
-            out = x / _guard_denominator(y)
-    return _finalize(out)
+    return _apply(op, x, y)
 
 
 @dataclass(frozen=True)
@@ -161,11 +144,8 @@ class FeatureExpr:
 
     @property
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        if self.op in _UNARY:
-            return 1 + self.left.depth
-        return 1 + max(self.left.depth, self.right.depth)
+        children = [c for c in (self.left, self.right) if c is not None]
+        return 1 + max(c.depth for c in children) if children else 0
 
 
 def expr_to_string(e: FeatureExpr) -> str:
@@ -196,15 +176,6 @@ def evaluate_expr(e: FeatureExpr, original) -> np.ndarray:
     return rec(e)
 
 
-def _operation(token: str, binary: bool) -> OperationKind | None:
-    """The operation of the given arity that renders as ``token``, else None."""
-    try:
-        op = OperationKind(token)
-    except ValueError:
-        return None
-    return op if op.is_binary is binary else None
-
-
 def parse_expression(text: str) -> FeatureExpr:
     """Inverse of :func:`expr_to_string` for canonical renderings."""
     text = text.strip()
@@ -218,15 +189,15 @@ def parse_expression(text: str) -> FeatureExpr:
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            elif depth == 0 and i > 0 and (op := _operation(ch, binary=True)):
+            elif depth == 0 and i > 0 and (op := _BY_TOKEN.get(ch)) and op.is_binary:
                 left = parse_expression(inner[:i])
                 right = parse_expression(inner[i + 1 :])
                 return FeatureExpr.binary(op, left, right)
         raise ValueError(f"no top-level binary operator in {text!r}")
     if text.endswith(")"):
         head, _, rest = text.partition("(")
-        op = _operation(head, binary=False)
-        if op is not None:
+        op = _BY_TOKEN.get(head)
+        if op is not None and op.is_unary:
             return FeatureExpr.unary(op, parse_expression(rest[:-1]))
         raise ValueError(f"unknown unary operation {head!r}")
     return FeatureExpr.leaf(text)

@@ -77,6 +77,7 @@ class PipelineConfig:
             raise ValueError(f"unknown state method {self.state_method!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "model", replace(self.model, seed=self.seed))  # one seed drives the forest too
 
     def cluster_kwargs(self) -> dict:
         """``m_cluster``'s settings; ``run`` and ``cluster`` both read them here."""

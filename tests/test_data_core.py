@@ -1,3 +1,6 @@
+import re
+
+import data_core_reference
 import numpy as np
 import pytest
 from csv_writer import save_csv
@@ -177,3 +180,46 @@ class TestMakeFolds:
         d = _dataset(4)
         with pytest.raises(DataError):
             make_folds(d, 5, seed=0)
+
+
+class TestFormerSplitPaths:
+    """make_split and make_folds over one label per row, against the former per-task paths."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(26)
+        for case in range(600):
+            task = (Task.REGRESSION, Task.OUTLIER_DETECTION, Task.CLASSIFICATION)[case % 3]
+            m = int(rng.integers(2, 60))
+            if task is Task.REGRESSION:
+                target = rng.normal(size=m)
+            elif task is Task.OUTLIER_DETECTION:
+                target = (rng.random(m) < rng.uniform(0.02, 0.3)).astype(float)
+            else:
+                target = rng.integers(0, rng.integers(1, 6), m).astype(float)
+            samples = rng.normal(size=(m, 2))
+            yield Dataset(samples, ("a", "b"), target, task), int(rng.integers(2**31)), rng
+
+    def test_splits_equal(self):
+        for d, seed, rng in self.cases():
+            fraction = float(rng.uniform(0.1, 0.5))
+            try:
+                want = data_core_reference.make_split(d, fraction, seed)
+            except DataError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    make_split(d, fraction, seed)
+                continue
+            got = make_split(d, fraction, seed)
+            assert np.array_equal(got.train_indices, want.train_indices)
+            assert np.array_equal(got.test_indices, want.test_indices)
+
+    def test_folds_equal(self):
+        for d, seed, rng in self.cases():
+            k = int(rng.integers(2, 8))
+            if k > d.n_rows:
+                continue
+            got, want = make_folds(d, k, seed), data_core_reference.make_folds(d, k, seed)
+            assert len(got) == len(want) == k
+            for (train, test), (train_want, test_want) in zip(got, want):
+                assert np.array_equal(train, train_want)
+                assert np.array_equal(test, test_want)

@@ -1,8 +1,10 @@
 import numpy as np
+import operators_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from featforge import operators
 from featforge.data_core import Dataset, Task
 from featforge.operators import (
     ALL_OPERATIONS,
@@ -96,6 +98,54 @@ class TestApplyBinary:
         out = apply_binary(op, x, y)
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out) <= 1e12)
+
+
+def oracle_inputs() -> np.ndarray:
+    """Seeded magnitudes from 1e-8 to 1e8 of both signs, then the guards' and clips' edges."""
+    rng = np.random.default_rng(2026)
+    random = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-8, 8, 2000)
+    edges = [0.0, 1e-6, 710.0, 1e300, 5e-324, 1.0, 700.0, np.pi / 2, np.nextafter(1e-6, 0), 1e-12]
+    return np.concatenate([random, edges, -np.array(edges)])
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestFormerIfChains:
+    """Each operation's table formula against the former if-chains, bit for bit."""
+
+    @pytest.mark.parametrize("op", UNARY_OPS)
+    def test_unary(self, op):
+        x = oracle_inputs()
+        assert_bitwise_equal(apply_unary(op, x), reference.apply_unary(op, x))
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_binary(self, op):
+        values = oracle_inputs()
+        partners = np.concatenate([values[:40], values[-20:]])  # 40 random values and every edge
+        x, y = np.repeat(values, len(partners)), np.tile(partners, len(values))
+        assert_bitwise_equal(apply_binary(op, x, y), reference.apply_binary(op, x, y))
+        assert_bitwise_equal(apply_binary(op, y, x), reference.apply_binary(op, y, x))
+
+    def test_scalar_operands(self):
+        for op in UNARY_OPS:
+            assert_bitwise_equal(apply_unary(op, -0.0), reference.apply_unary(op, -0.0))
+        for op in BINARY_OPS:
+            assert_bitwise_equal(apply_binary(op, -0.0, 3.0), reference.apply_binary(op, -0.0, 3.0))
+
+    @pytest.mark.parametrize("op", ALL_OPERATIONS)
+    def test_same_errors(self, op):
+        def outcome(call, *args):
+            try:
+                call(op, *args)
+            except ValueError as exc:
+                return str(exc)
+            return "ok"
+
+        for name, *args in (("apply_unary", [1.0]), ("apply_binary", [1.0], [2.0]), ("apply_binary", [1.0, 2.0], [1.0])):
+            assert outcome(getattr(operators, name), *args) == outcome(getattr(reference, name), *args)
 
 
 class TestFeatureExpr:

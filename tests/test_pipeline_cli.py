@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from operator import attrgetter
 
 import evaluator_reference
@@ -56,6 +57,12 @@ class TestPipelineConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             PipelineConfig(**kwargs)
+
+
+    def test_seed_drives_the_model(self):
+        cfg = PipelineConfig(seed=5, model=ModelSpec(n_trees=3, seed=0))
+        assert cfg.model == ModelSpec(n_trees=3, seed=5)
+        assert replace(cfg, seed=7).model == ModelSpec(n_trees=3, seed=7)
 
 
 class TestRunGrfg:
@@ -211,7 +218,38 @@ def write_dataset_csv(tmp_path, task=Task.REGRESSION, seed=0):
     return path, d
 
 
+def write_one_anomaly_csv(tmp_path):
+    """20 rows whose one anomaly, row 0, is on the train side of seed 0's evaluate and search splits."""
+    rng = np.random.default_rng(0)
+    y = np.zeros(20)
+    y[0] = 1.0
+    d = Dataset(rng.normal(size=(20, 3)), ("a1", "a2", "a3"), y, Task.OUTLIER_DETECTION)
+    path = str(tmp_path / "one_anomaly.csv")
+    save_csv(d, path, target_column="y")
+    return path
+
+
 class TestCli:
+    @pytest.mark.parametrize("command", ["evaluate", "run", "baseline"])
+    def test_one_anomaly_outlier_data_error(self, tmp_path, capsys, command):
+        """A scored side with no anomaly has no ROC-AUC: a data error that says so, not a traceback."""
+        path = write_one_anomaly_csv(tmp_path)
+        budget = [] if command == "evaluate" else ["--epochs", "1", "--steps", "1"]
+        code = cli_main([command, "--data", path, "--target", "y", "--task", "outlier", "--seed", "0", *budget])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: AUC undefined for single-class truth")
+
+    def test_library_and_cli_runs_match(self, tmp_path, capsys):
+        """The run's seed drives the model in both, so they grow the same forests and write the same files."""
+        path, _ = write_dataset_csv(tmp_path)
+        lib, cmd = tmp_path / "lib", tmp_path / "cli"
+        cfg = PipelineConfig(epochs=1, steps_per_epoch=3, seed=3, out_dir=str(lib))
+        run_grfg(load_csv(path, "y", Task.REGRESSION), cfg)
+        argv = ["--data", path, "--target", "y", "--task", "reg", "--epochs", "1", "--steps", "3", "--seed", "3"]
+        assert cli_main(["run", *argv, "--out", str(cmd)]) == 0
+        for name in ("report.json", "trace.jsonl", "best_features.csv"):
+            assert (lib / name).read_bytes() == (cmd / name).read_bytes()
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         path, _ = write_dataset_csv(tmp_path)
         out = str(tmp_path / "run")
